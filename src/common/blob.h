@@ -112,11 +112,12 @@ class BlobReader {
     return std::bit_cast<double>(bits);
   }
 
-  std::string bytes() {
+  // A view into the input span, valid as long as it is.
+  std::string_view bytes() {
     const std::uint64_t n = u64();
     need(n);
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_),
-                  static_cast<std::size_t>(n));
+    const std::string_view s(
+        reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += static_cast<std::size_t>(n);
     return s;
   }

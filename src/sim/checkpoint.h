@@ -2,13 +2,14 @@
 //
 // The simulator streams days; after each completed day it can hand a
 // CheckpointSink one serialized blob holding everything needed to resume
-// from the NEXT day — the dataset accumulated so far plus the run-local
-// evolving state (user states, home-detector accumulators, calibration
-// scalars). On the next run the sink supplies the stored blob and the
-// high-water mark, and Simulator::run() fast-forwards: substrate and
-// static per-user structures are rebuilt from the config (pure functions
-// of the seed), the blob restores the evolving state, and the day loop
-// starts at resume_day() + 1.
+// from the NEXT day — the run-local evolving state (user states,
+// home-detector accumulators, calibration scalars) behind a run-state
+// version, then the dataset so far as the store's own sections
+// (sim/dataset_codec.h). On the next run Simulator::run() fast-forwards
+// from the stored blob and high-water mark — a blob of another version
+// starts a fresh run — rebuilding substrate and static per-user structures
+// from the config (pure functions of the seed), restoring the evolving
+// state, and starting the day loop at resume_day() + 1.
 //
 // The contract — enforced in test_determinism and test_crash_resume — is
 // bitwise: an interrupted-then-resumed run yields a Dataset bit-identical
@@ -24,6 +25,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/blob.h"
@@ -53,12 +55,49 @@ class CheckpointSink {
                                const std::vector<std::uint8_t>& state) = 0;
 };
 
-// (De)serializes the Dataset portion of a checkpoint blob: every
-// accumulated field a resumed run appends to. The run-local portion
-// (user states, detector accumulators, calibration scalars) is handled by
-// the simulator itself; both live in one blob, versioned by the sink.
-// restore_dataset_state throws BlobError on truncated/inconsistent input.
-void save_dataset_state(const Dataset& ds, BlobWriter& w);
-void restore_dataset_state(Dataset& ds, BlobReader& r);
+// The section encoders' writer shape over a blob: values go out in call
+// order and a 1 byte opens each row (a 0 byte closes the section).
+class BlobRowWriter {
+ public:
+  explicit BlobRowWriter(BlobWriter& w) : w_(w) {}
+
+  void u64(std::size_t, std::uint64_t v) { open_row(); w_.u64(v); }
+  void i64(std::size_t, std::int64_t v) { open_row(); w_.i64(v); }
+  void f64(std::size_t, double v) { open_row(); w_.f64(v); }
+  void bytes(std::size_t, std::string_view v) { open_row(); w_.bytes(v); }
+  void end_row(std::int64_t) { row_open_ = false; }
+
+ private:
+  BlobWriter& w_;
+  bool row_open_ = false;
+
+  void open_row() {
+    if (!row_open_) w_.u8(1);
+    row_open_ = true;
+  }
+};
+
+// The decoders' reader shape over a blob. Values come back in the order
+// they were written: the decoders read a row's columns in ascending order,
+// as the encoders write them.
+class BlobRowReader {
+ public:
+  explicit BlobRowReader(BlobReader& r) : r_(r) {}
+
+  // Advances to the next row of the section; false at its end.
+  bool next() {
+    const std::uint8_t marker = r_.u8();
+    if (marker > 1) throw BlobError{"checkpoint blob: bad row marker"};
+    return marker == 1;
+  }
+
+  std::uint64_t u64(std::size_t) { return r_.u64(); }
+  std::int64_t i64(std::size_t) { return r_.i64(); }
+  double f64(std::size_t) { return r_.f64(); }
+  std::string_view bytes(std::size_t) { return r_.bytes(); }
+
+ private:
+  BlobReader& r_;
+};
 
 }  // namespace cellscope::sim

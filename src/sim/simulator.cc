@@ -10,6 +10,7 @@
 #include "audit/laws.h"
 #include "obs/runtime.h"
 #include "sim/dataset_audit.h"
+#include "sim/dataset_codec.h"
 #include "mobility/place.h"
 #include "mobility/relocation.h"
 #include "mobility/trajectory.h"
@@ -135,6 +136,21 @@ void build_substrate(const ScenarioConfig& config, Dataset& ds) {
   }
 
   ds.policy = std::make_unique<mobility::PolicyTimeline>(config.policy);
+
+  // The window shape the simulator and both decoders fill; SeriesId order.
+  const SimDay first = config.first_day();
+  const SimDay last = config.last_day();
+  const std::size_t bins =
+      config.collect_binned_mobility ? kFourHourBinsPerDay : 0;
+  const std::array<std::size_t, kGroupedSeries.size()> groups = {
+      1, 1, geo::kRegionCount, geo::kRegionCount, geo::kOacClusterCount,
+      geo::kOacClusterCount, bins, bins};
+  for (std::size_t id = 0; id < groups.size(); ++id)
+    ds.*kGroupedSeries[id] =
+        analysis::GroupedDailySeries{groups[id], first, last};
+  for (const auto series : kDailySeries) ds.*series = DailySeries{first, last};
+  for (const auto dist : kDistributions)
+    ds.*dist = analysis::DistributionSeries{first, last};
 }
 
 Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
@@ -240,18 +256,6 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     return resolved[place_index];
   };
 
-  // Mobility aggregates.
-  ds.entropy_national = analysis::GroupedDailySeries{1, first_day, last_day};
-  ds.gyration_national = analysis::GroupedDailySeries{1, first_day, last_day};
-  ds.entropy_by_region = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kRegionCount), first_day, last_day};
-  ds.gyration_by_region = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kRegionCount), first_day, last_day};
-  ds.entropy_by_cluster = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kOacClusterCount), first_day, last_day};
-  ds.gyration_by_cluster = analysis::GroupedDailySeries{
-      static_cast<std::size_t>(geo::kOacClusterCount), first_day, last_day};
-
   // Home detection runs over the warm-up and closes when week 9 opens, so
   // that the Fig 7 matrix can track detected residents from the baseline
   // week onward (Feb 3-23 gives 21 candidate nights >= the 14 required).
@@ -276,17 +280,6 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   double week9_busy_hour_minutes = 0.0;
   bool interconnect_calibrated = false;
 
-  ds.offnet_busy_hour_minutes = DailySeries{first_day, last_day};
-  ds.interconnect_busy_hour_loss_pct = DailySeries{first_day, last_day};
-  ds.roamers_active = DailySeries{first_day, last_day};
-  ds.gyration_distribution = analysis::DistributionSeries{first_day, last_day};
-  ds.entropy_distribution = analysis::DistributionSeries{first_day, last_day};
-  if (config_.collect_binned_mobility) {
-    ds.entropy_by_bin = analysis::GroupedDailySeries{
-        static_cast<std::size_t>(kFourHourBinsPerDay), first_day, last_day};
-    ds.gyration_by_bin = analysis::GroupedDailySeries{
-        static_cast<std::size_t>(kFourHourBinsPerDay), first_day, last_day};
-  }
   double lte_hours = 0.0;
   double legacy_hours = 0.0;
 
@@ -369,9 +362,11 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
 
   // -------------------------------------------------- checkpoint/resume
   // One blob per completed day: the run-local evolving state below, then
-  // the accumulated Dataset (sim/checkpoint.cc). Everything else regrows
-  // from the config. The restore reads the exact same sequence back.
-  constexpr std::uint64_t kRunStateVersion = 1;
+  // the accumulated Dataset's sections (sim/checkpoint.h). Everything else
+  // regrows from the config. The restore reads the exact same sequence
+  // back; the version is its first byte.
+  constexpr std::uint64_t kRunStateVersion = 2;
+  static_assert(kRunStateVersion < 0x80);
   const auto save_checkpoint = [&](SimDay day_done) {
     BlobWriter w;
     w.u64(kRunStateVersion);
@@ -427,18 +422,20 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     w.u8(interconnect_calibrated ? 1 : 0);
     w.f64(lte_hours);
     w.f64(legacy_hours);
-    save_dataset_state(ds, w);
+    encode_sections(ds, w);
     if (obs_on)
       obs::track_bytes(obs::Subsystem::kSim, w.data().size());
     checkpoint->on_day_complete(day_done, w.take());
   };
 
   SimDay start_day = first_day;
-  if (checkpoint != nullptr && !checkpoint->resume_payload().empty()) {
+  // A blob of another run-state version (an older build's record of this
+  // scenario) is no resumable state: the run starts fresh.
+  if (checkpoint != nullptr && !checkpoint->resume_payload().empty() &&
+      checkpoint->resume_payload().front() == kRunStateVersion) {
     const auto resume_span = tracer.span("setup.resume", "setup");
     BlobReader r{checkpoint->resume_payload()};
-    if (r.u64() != kRunStateVersion)
-      throw BlobError{"checkpoint blob: unsupported run-state version"};
+    (void)r.u64();  // the run-state version, checked above
     if (r.u64() != n_users)
       throw BlobError{"checkpoint blob: user count mismatch"};
     for (std::size_t i = 0; i < n_users; ++i) {
@@ -475,6 +472,8 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
           static_cast<std::size_t>(r.u64()));
       for (auto& u : saved) {
         u.user = r.u32();
+        if (u.user >= n_users)
+          throw BlobError{"checkpoint blob: detector user out of range"};
         u.nights = r.u32();
         u.last_night_day = static_cast<SimDay>(r.i64());
         u.sites.resize(static_cast<std::size_t>(r.u64()));
@@ -491,12 +490,12 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     interconnect_calibrated = r.u8() != 0;
     lte_hours = r.f64();
     legacy_hours = r.f64();
-    restore_dataset_state(ds, r);
+    decode_sections(ds, r);
     if (!r.done()) throw BlobError{"checkpoint blob: trailing bytes"};
 
     // Derived state the blob does not carry: the interconnect's capacity
     // (a pure function of the calibration scalar) and the London tracking
-    // flags (a pure function of the restored homes).
+    // flags (a pure function of the restored, bounds-checked homes).
     if (interconnect_calibrated)
       interconnect.calibrate(std::max(week9_busy_hour_minutes, 1.0));
     if (homes_finalized && inner_london) {

@@ -158,10 +158,10 @@ class DatasetSink {
 };
 
 // Builds the deterministic substrate (geography, device catalog,
-// population, radio topology, policy timeline) into `ds` and sets
-// eligible_users. Everything here derives from the config alone, so the
-// store's read_dataset() rebuilds the substrate with this instead of
-// serializing it.
+// population, radio topology, policy timeline) and the window shape of
+// every series into `ds`, and sets eligible_users. Everything here derives
+// from the config alone, so read_dataset() and the checkpoint restore
+// rebuild it with this instead of serializing it.
 void build_substrate(const ScenarioConfig& config, Dataset& ds);
 
 class Simulator {

@@ -6,7 +6,8 @@
 // dominant feed, streamed day by day while the simulation runs), signaling
 // counters, detected homes, census validation points, every daily series,
 // distribution bands, the London relocation matrix, the quality ledger and
-// a scalar feed for the leftover fields.
+// a scalar feed for the leftover fields. Each feed is one section of
+// sim/dataset_codec.h, and every feed decodes through FeedScanner (scan.h).
 //
 // The substrate (geography, population, topology, policy) is NOT
 // serialized: it derives deterministically from the config seed, so
@@ -15,8 +16,9 @@
 // accumulators verbatim — write-then-read is bitwise identical on every
 // Dataset field (test_store_replay enforces this).
 //
-// Corruption never throws: shards that fail CRC/structural validation (and
-// feed files that are missing or unreadable) are quarantined into the
+// Corruption never throws: shards that fail CRC/structural validation,
+// shards holding a row the decoder refuses (an out-of-range index), and
+// feed files that are missing or unreadable are quarantined into the
 // dataset's telemetry/quality ledger under the "store" feed, the intact
 // remainder is loaded, and the outcome is marked kDegraded — partial data
 // is never silently served as complete (load_or_run re-simulates instead).

@@ -1,16 +1,12 @@
-// Named feed schemas: the single source of truth for what each cellstore
-// feed looks like on disk.
+// Named feed schemas: the column registry of every cellstore feed.
 //
-// dataset_io.cc (writer + full replay) and scan.h (the vectorized scan
-// engine) must agree byte-for-byte on column order, encodings and the
-// on-disk row-kind/series/scalar ids — so all of it lives here, once.
-// A FeedSchema names every column, fixes its Encoding, and knows which
-// column (if any) carries the day the row was tagged with, which is what
-// lets the scanner resolve projections by name and push day predicates
-// down to the shard footer.
-//
-// The ids below are part of the CSF1 logical format: changing a value
-// breaks every existing store. Append, never renumber.
+// The section table (sim/dataset_codec.h) writes and reads each feed's
+// columns by index; this registry gives those columns their names and
+// encodings. A FeedSchema names every column, fixes its Encoding, and
+// knows which column (if any) carries the day the row was tagged with,
+// which is what lets the scanner resolve projections by name and push day
+// predicates down to the shard footer. test_dataset_codec checks that the
+// section encoders and this registry agree column for column.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/dataset_codec.h"
 #include "store/format.h"
 #include "telemetry/kpi.h"
 
@@ -25,47 +22,12 @@ namespace cellscope::store {
 
 // ------------------------------------------------------------- on-disk ids
 
-// Series ids of the `series` feed: every DailySeries-shaped field of the
-// Dataset, grouped ones first.
-enum SeriesId : std::uint64_t {
-  kEntropyNational = 0,
-  kGyrationNational,
-  kEntropyByRegion,
-  kGyrationByRegion,
-  kEntropyByCluster,
-  kGyrationByCluster,
-  kEntropyByBin,
-  kGyrationByBin,
-  kOffnetBusyHour,
-  kInterconnectLoss,
-  kRoamersActive,
-};
-
-enum DistId : std::uint64_t { kGyrationDist = 0, kEntropyDist = 1 };
-
-enum MatrixRowKind : std::uint64_t { kPresenceRow = 0, kObservationsRow = 1 };
-
-enum QualityRowKind : std::uint64_t { kFeedTotalsRow = 0, kFeedDayRow = 1 };
-
-// Scalar ids of the `scalars` feed; each row is (id, double bits, u64).
-enum ScalarId : std::uint64_t {
-  kLteTimeShare = 0,
-  kEligibleUsers,
-  kLondonResidents,
-  kLondonPresent,
-  kLondonHomeCounty,
-  kMatrixFirstDay,
-  kMatrixLastDay,
-  kFitSlope,
-  kFitIntercept,
-  kFitRSquared,
-  kFitN,
-  kExpectedMarketShare,
-  kKpiRowCount,
-  kHomeRowCount,
-  kSignalingDayCount,
-  kVoiceDayCount,
-};
+// The ids live with the section table (sim/dataset_codec.h); the scan
+// adapters and their callers name them here.
+using sim::ScalarId;
+using sim::SeriesId;
+using enum sim::ScalarId;
+using enum sim::SeriesId;
 
 // ------------------------------------------------------------ feed schemas
 

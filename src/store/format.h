@@ -40,9 +40,8 @@ enum class Encoding : std::uint8_t {
   // Timestamps (day columns) and sorted id columns collapse to ~1 byte per
   // row under this.
   kDeltaZigzagVarint = 2,
-  // One opaque byte blob for the whole column (row count gives the number
-  // of logical entries; framing is the feed schema's business). Used for
-  // string tables.
+  // Per row, an unsigned LEB128 length then that many raw bytes. Used for
+  // names (the quality ledger's feeds).
   kBytes = 3,
 };
 

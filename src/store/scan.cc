@@ -66,10 +66,6 @@ FeedScanner::FeedScanner(std::string csf_path, const FeedSchema& schema,
                "'";
       return;
     }
-    if (schema_.columns()[index].encoding == Encoding::kBytes) {
-      error_ = "kBytes column '" + name + "' cannot be projected";
-      return;
-    }
     projection_.push_back(index);
   }
   const auto& predicate = options_.predicate;
@@ -114,6 +110,7 @@ FeedScanner::FeedScanner(std::string csf_path, const FeedSchema& schema,
   }
   staged_i64_.resize(projection_.size());
   staged_f64_.resize(projection_.size());
+  staged_bytes_.resize(projection_.size());
   ok_ = true;
 }
 
@@ -139,16 +136,18 @@ bool FeedScanner::next(ScanBatch& batch) {
   for (std::size_t j = 0; j < projection_.size(); ++j) {
     const FeedColumn& schema_column = schema_.columns()[projection_[j]];
     ScanColumn& out = batch.columns_[j];
+    out = ScanColumn{};
     out.name = schema_column.name;
     out.encoding = schema_column.encoding;
     if (schema_column.encoding == Encoding::kRaw64) {
       out.f64 = std::span<const double>{staged_f64_[j]}.subspan(staged_pos_,
                                                                 n);
-      out.i64 = {};
+    } else if (schema_column.encoding == Encoding::kBytes) {
+      out.bytes = std::span<const std::string_view>{staged_bytes_[j]}.subspan(
+          staged_pos_, n);
     } else {
       out.i64 = std::span<const std::int64_t>{staged_i64_[j]}.subspan(
           staged_pos_, n);
-      out.f64 = {};
     }
   }
   staged_pos_ += n;
@@ -167,8 +166,14 @@ bool FeedScanner::stage_next_shard() {
       ++totals_.shards_pruned;
       continue;
     }
-    if (shard.columns.size() != schema_.size()) {
-      quarantine("column count mismatch");
+    // Batches surface columns by schema encoding, and every encoding spends
+    // a byte per row or more, so no row count sizes a buffer beyond them.
+    bool layout_ok = shard.columns.size() == schema_.size();
+    for (std::size_t c = 0; layout_ok && c < shard.columns.size(); ++c)
+      layout_ok = shard.columns[c].encoding == schema_.columns()[c].encoding &&
+                  shard.columns[c].bytes >= shard.rows;
+    if (!layout_ok) {
+      quarantine("column layout disagrees with the schema");
       continue;
     }
     if (!decode_shard(shard)) {
@@ -258,6 +263,27 @@ bool FeedScanner::decode_shard(const ShardView& shard) {
         for (const std::size_t i : selection_)
           out.push_back(raw64_at(column, i));
         totals_.bytes_decoded += selection_.size() * 8;
+      }
+      continue;
+    }
+    if (column.encoding == Encoding::kBytes) {
+      // One [varint length][bytes] value per row, viewed in the mapping.
+      auto& out = staged_bytes_[j];
+      out.clear();
+      ColumnCursor cursor{column};
+      for (std::size_t i = 0; i < rows; ++i) {
+        std::uint64_t n = 0;
+        const std::uint8_t* data = nullptr;
+        if (!cursor.next_u64(n) || n > column.bytes ||
+            !cursor.next_bytes(static_cast<std::size_t>(n), data))
+          return false;
+        out.emplace_back(reinterpret_cast<const char*>(data), n);
+      }
+      totals_.bytes_decoded += column.bytes;
+      if (!identity) {  // the selection ascends: compact in place
+        for (std::size_t k = 0; k < selection_.size(); ++k)
+          out[k] = out[selection_[k]];
+        out.resize(selection_.size());
       }
       continue;
     }

@@ -17,18 +17,23 @@
 //     that failed the predicate are never decoded at all: survivors gather
 //     at 8-byte stride straight off the mapping.
 //
-// Corruption semantics match full replay exactly: a shard that fails CRC,
-// structural validation or row decode is quarantined — counted, logged,
-// skipped — and a wholly unreadable feed is one quarantine unit with
-// ok() == false. The scanner never throws on bad input and never serves a
+// It is the store's only decoder: read_dataset and scan_kpis (dataset_io.h)
+// read every feed through it too. kBytes columns project like any other,
+// each row surfacing as a string_view into the file mapping.
+//
+// Corruption semantics are therefore full replay's: a shard that fails
+// CRC, structural validation (including a column layout that disagrees
+// with the schema) or row decode is quarantined — counted, logged, skipped
+// — and a wholly unreadable feed is one quarantine unit with ok() ==
+// false. The scanner never throws on bad input and never serves a
 // partially decoded shard: a shard contributes all of its surviving rows
 // or none.
 //
 // Batch lifetime: a ScanBatch only holds spans into buffers owned by the
-// scanner. They are valid until the next next() call or the scanner's
-// destruction, whichever comes first — copy out anything that must outlive
-// the loop. A batch never spans a shard boundary, so the final batch of
-// each shard may be short.
+// scanner (and, for kBytes, views into its mapping). They are valid until
+// the next next() call or the scanner's destruction, whichever comes first
+// — copy out anything that must outlive the loop. A batch never spans a
+// shard boundary, so the final batch of each shard may be short.
 //
 // The adapters at the bottom port the figure pipelines onto the scan path
 // while keeping full replay as the reference oracle: each one re-checks
@@ -80,8 +85,6 @@ struct ScanOptions {
   static constexpr std::size_t kDefaultBatchRows = 4096;
 
   // Projection, by schema column name. Empty = every column of the feed.
-  // kBytes columns cannot be projected (no fixed-width representation);
-  // requesting one fails the scanner up front.
   std::vector<std::string> columns;
   ScanPredicate predicate;
   std::size_t batch_rows = kDefaultBatchRows;
@@ -101,14 +104,16 @@ struct ScanTotals {
   std::uint64_t bytes_decoded = 0;       // payload bytes actually decoded
 };
 
-// One projected column of a batch. Exactly one of the two spans is
-// populated, by encoding: kRaw64 columns surface as doubles (raw IEEE 754
-// bits off the file), kVarint / kDeltaZigzagVarint columns as int64.
+// One projected column of a batch. Exactly one of the spans is populated,
+// by encoding: kRaw64 columns surface as doubles (raw IEEE 754 bits off the
+// file), kVarint / kDeltaZigzagVarint columns as int64, kBytes columns as
+// views into the file mapping, one per row.
 struct ScanColumn {
   std::string_view name;
   Encoding encoding = Encoding::kRaw64;
   std::span<const std::int64_t> i64;
   std::span<const double> f64;
+  std::span<const std::string_view> bytes;
 };
 
 class ScanBatch {
@@ -184,6 +189,7 @@ class FeedScanner {
   // projected column, plus scratch for gate columns and the selection.
   std::vector<std::vector<std::int64_t>> staged_i64_;
   std::vector<std::vector<double>> staged_f64_;
+  std::vector<std::vector<std::string_view>> staged_bytes_;
   std::vector<std::int64_t> scratch_day_;
   std::vector<std::int64_t> scratch_key_;
   std::vector<std::int64_t> scratch_i64_;

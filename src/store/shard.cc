@@ -112,6 +112,11 @@ void FeedFileWriter::f64(std::size_t col, double value) {
   put_double_bits(columns_[col].payload, value);
 }
 
+void FeedFileWriter::bytes(std::size_t col, std::string_view value) {
+  put_varint(columns_[col].payload, value.size());
+  bytes(col, value.data(), value.size());
+}
+
 void FeedFileWriter::bytes(std::size_t col, const void* data, std::size_t n) {
   auto& payload = columns_[col].payload;
   const auto* p = static_cast<const std::uint8_t*>(data);

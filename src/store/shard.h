@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "store/format.h"
@@ -44,12 +45,14 @@ class FeedFileWriter {
   FeedFileWriter& operator=(const FeedFileWriter&) = delete;
 
   // Appends one value to a column of the current row. Each row must touch
-  // its columns in any order but exactly once each (unchecked; the feed
-  // schemas in dataset_io.cc are straight-line code).
+  // its columns exactly once each (unchecked here; test_dataset_codec
+  // checks every section encoder of sim/dataset_codec.h against it).
   void u64(std::size_t col, std::uint64_t value);    // kVarint / kRaw64
   void i64(std::size_t col, std::int64_t value);     // kDeltaZigzagVarint
   void f64(std::size_t col, double value);           // kRaw64 (IEEE bits)
-  void bytes(std::size_t col, const void* data, std::size_t n);  // kBytes
+  void bytes(std::size_t col, std::string_view value);  // kBytes, framed
+  // kBytes raw payload; the caller writes the varint length frame first.
+  void bytes(std::size_t col, const void* data, std::size_t n);
 
   // Closes the current row, tagging it with `day` for the shard's min/max
   // day index. Auto-flushes a shard at max_rows_per_shard.
@@ -125,10 +128,6 @@ class ColumnCursor {
   // kBytes columns framed as [varint length][bytes]...: consumes `n` raw
   // bytes, pointing `out` into the mapping.
   bool next_bytes(std::size_t n, const std::uint8_t*& out);
-  // kBytes columns: the whole payload as one blob.
-  [[nodiscard]] std::span<const std::uint8_t> blob() const {
-    return {column_.data, column_.bytes};
-  }
 
  private:
   ColumnView column_;

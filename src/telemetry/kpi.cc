@@ -23,23 +23,6 @@ std::string_view kpi_metric_name(KpiMetric metric) {
   return kMetricNames[static_cast<int>(metric)];
 }
 
-double kpi_value(const CellDayRecord& r, KpiMetric metric) {
-  switch (metric) {
-    case KpiMetric::kDlVolume: return r.dl_volume_mb;
-    case KpiMetric::kUlVolume: return r.ul_volume_mb;
-    case KpiMetric::kActiveDlUsers: return r.active_dl_users;
-    case KpiMetric::kTtiUtilization: return r.tti_utilization;
-    case KpiMetric::kUserDlThroughput: return r.user_dl_throughput_mbps;
-    case KpiMetric::kActiveDataSeconds: return r.active_data_seconds;
-    case KpiMetric::kConnectedUsers: return r.connected_users;
-    case KpiMetric::kVoiceVolume: return r.voice_volume_mb;
-    case KpiMetric::kSimultaneousVoiceUsers: return r.simultaneous_voice_users;
-    case KpiMetric::kVoiceDlLoss: return r.voice_dl_loss_pct;
-    case KpiMetric::kVoiceUlLoss: return r.voice_ul_loss_pct;
-  }
-  return 0.0;
-}
-
 KpiAggregator::KpiAggregator(std::size_t cell_count, DailyReduction reduction)
     : cell_count_(cell_count), reduction_(reduction) {
   samples_.assign(cell_count_ * kKpiMetricCount * kHoursPerDay, 0.0);
@@ -94,25 +77,13 @@ std::vector<CellDayRecord> KpiAggregator::finish_day() {
     CellDayRecord row;
     row.cell = CellId{static_cast<std::uint32_t>(c)};
     row.day = day_;
-    std::array<double, kKpiMetricCount> reduced{};
     for (int m = 0; m < kKpiMetricCount; ++m) {
       const std::span<const double> hours{&samples_[slot(c, m, 0)],
                                           static_cast<std::size_t>(n)};
-      reduced[static_cast<std::size_t>(m)] =
+      row.*kKpiFields[static_cast<std::size_t>(m)] =
           reduction_ == DailyReduction::kMedian ? stats::median(hours)
                                                 : stats::mean(hours);
     }
-    row.dl_volume_mb = reduced[0];
-    row.ul_volume_mb = reduced[1];
-    row.active_dl_users = reduced[2];
-    row.tti_utilization = reduced[3];
-    row.user_dl_throughput_mbps = reduced[4];
-    row.active_data_seconds = reduced[5];
-    row.connected_users = reduced[6];
-    row.voice_volume_mb = reduced[7];
-    row.simultaneous_voice_users = reduced[8];
-    row.voice_dl_loss_pct = reduced[9];
-    row.voice_ul_loss_pct = reduced[10];
     rows.push_back(row);
   }
   return rows;

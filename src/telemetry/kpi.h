@@ -7,6 +7,7 @@
 // KpiStore holds the resulting daily records for the analysis layer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -49,8 +50,23 @@ enum class KpiMetric : std::uint8_t {
 };
 inline constexpr int kKpiMetricCount = 11;
 
+// The metric fields of a CellDayRecord in KpiMetric order: the one place a
+// record maps onto its metric columns.
+inline constexpr std::array<double CellDayRecord::*, kKpiMetricCount>
+    kKpiFields = {
+        &CellDayRecord::dl_volume_mb,     &CellDayRecord::ul_volume_mb,
+        &CellDayRecord::active_dl_users,  &CellDayRecord::tti_utilization,
+        &CellDayRecord::user_dl_throughput_mbps,
+        &CellDayRecord::active_data_seconds, &CellDayRecord::connected_users,
+        &CellDayRecord::voice_volume_mb,
+        &CellDayRecord::simultaneous_voice_users,
+        &CellDayRecord::voice_dl_loss_pct, &CellDayRecord::voice_ul_loss_pct};
+
 [[nodiscard]] std::string_view kpi_metric_name(KpiMetric metric);
-[[nodiscard]] double kpi_value(const CellDayRecord& record, KpiMetric metric);
+[[nodiscard]] inline double kpi_value(const CellDayRecord& record,
+                                      KpiMetric metric) {
+  return record.*kKpiFields[static_cast<std::size_t>(metric)];
+}
 
 enum class DailyReduction : std::uint8_t {
   kMedian = 0,  // what the paper reports

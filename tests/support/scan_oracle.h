@@ -188,11 +188,11 @@ inline constexpr double telemetry::CellDayRecord::* kKpiFields[] = {
 static_assert(std::size(kKpiFields) == telemetry::kKpiMetricCount);
 
 // Full-replay reference decode of one kpis feed file: FeedFileReader plus
-// a sequential ColumnCursor per column — the exact shape the replay path
-// (FeedLoader) uses, none of the scanner's vectorized machinery. A shard
-// that fails row decode drops whole, like replay; an unreadable file
-// reports readable == false. This is the oracle for damaged synthetic
-// feeds where no read_dataset() replay exists.
+// a sequential ColumnCursor per column — none of the scanner's vectorized
+// machinery, so it stays independent of the scanner that read_dataset()
+// itself decodes through. A shard that fails row decode drops whole; an
+// unreadable file reports readable == false. This is the oracle for
+// damaged synthetic feeds where no read_dataset() replay exists.
 struct ReferenceDecode {
   bool readable = false;
   std::uint64_t shards_quarantined = 0;

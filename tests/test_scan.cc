@@ -195,11 +195,33 @@ TEST_F(ScanEngine, InvalidProjectionFailsUpFrontWithoutQuarantine) {
   // A caller error is not data damage: nothing lands in quarantine.
   EXPECT_EQ(unknown.totals().shards_quarantined, 0u);
 
-  // kBytes columns have no fixed-width representation to project.
+  // kBytes columns project as views into the mapping: length-framed names
+  // come back byte for byte, across shard boundaries.
+  const std::vector<std::string> names = {"", "kpi-feed",
+                                          "a much longer feed name"};
+  const std::string path =
+      fresh_dir("bytes_projection") + "/" + feed_file_name("quality");
+  {
+    FeedFileWriter writer{path, feed_schema("quality").encodings(), 2};
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      writer.u64(0, i);
+      writer.bytes(1, names[i]);
+      writer.i64(2, 0);
+      for (std::size_t c = 3; c < 7; ++c) writer.u64(c, i);
+      writer.end_row(0);
+    }
+    writer.close();
+  }
   ScanOptions blob;
   blob.columns = {"name"};
-  FeedScanner bytes = FeedScanner::open(dir(), feed_schema("quality"), blob);
-  EXPECT_FALSE(bytes.ok());
+  FeedScanner bytes{path, feed_schema("quality"), blob};
+  ASSERT_TRUE(bytes.ok()) << bytes.error();
+  std::vector<std::string> scanned;
+  ScanBatch batch;
+  while (bytes.next(batch))
+    for (const std::string_view name : batch.column(0).bytes)
+      scanned.emplace_back(name);
+  EXPECT_EQ(scanned, names);
   EXPECT_EQ(bytes.totals().shards_quarantined, 0u);
 }
 
