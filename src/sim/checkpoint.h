@@ -1,15 +1,14 @@
 // Day-granular checkpoint/resume: the simulator side.
 //
-// The simulator streams days; after each completed day it can hand a
-// CheckpointSink one serialized blob holding everything needed to resume
-// from the NEXT day — the run-local evolving state (user states,
-// home-detector accumulators, calibration scalars) behind a run-state
-// version, then the dataset so far as the store's own sections
-// (sim/dataset_codec.h). On the next run Simulator::run() fast-forwards
-// from the stored blob and high-water mark — a blob of another version
-// starts a fresh run — rebuilding substrate and static per-user structures
-// from the config (pure functions of the seed), restoring the evolving
-// state, and starting the day loop at resume_day() + 1.
+// The simulator streams days; after each completed day it hands a
+// CheckpointSink one record (sim/run_state.h): the run-local evolving state
+// (user states, home-detector accumulators, calibration scalars) behind a
+// run-state version, then that day's rows of the dataset as the store's
+// own sections (sim/dataset_codec.h). The sink keeps the records as a log.
+// On the next run Simulator::run() replays the saved log — a log of
+// another version starts a fresh run — after rebuilding substrate and
+// static per-user structures from the config (pure functions of the seed),
+// and starts the day loop at resume_day() + 1.
 //
 // The contract — enforced in test_determinism and test_crash_resume — is
 // bitwise: an interrupted-then-resumed run yields a Dataset bit-identical
@@ -18,7 +17,7 @@
 // round-trips as raw IEEE-754 bits (common/blob.h) and why the home
 // detector keeps ordered accumulators (analysis/home_detection.h).
 //
-// The durable implementation (file format, digest keying, crash
+// The durable implementation (log format, digest keying, crash
 // atomicity) lives in store/checkpoint.h; tests substitute in-memory
 // sinks. See docs/RECOVERY.md for the full recovery story.
 #pragma once
@@ -39,23 +38,25 @@ class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
 
-  // State saved by a previous run, if any. An empty span means no resumable
-  // progress: the run starts fresh from the first day.
+  // The records a previous run saved, concatenated in day order, if any.
+  // An empty span means no resumable progress: the run starts fresh from
+  // the first day.
   [[nodiscard]] virtual std::span<const std::uint8_t> resume_payload()
       const = 0;
-  // Last fully completed day of the saved state; meaningless when
-  // resume_payload() is empty.
+  // Day of the last saved record; meaningless when resume_payload() is
+  // empty.
   [[nodiscard]] virtual SimDay resume_day() const = 0;
 
   // Called once after each day fully completes (accumulators reduced, KPI
-  // rows published to the DatasetSink), with the serialized resumable
-  // state as of that day. Implementations must persist atomically: a crash
-  // mid-save must leave the previous day's checkpoint intact.
+  // rows published to the DatasetSink), with that day's record. A record
+  // for a day that does not follow the last saved one starts a new log.
+  // Implementations must persist atomically: a crash mid-save must leave
+  // every earlier record intact.
   virtual void on_day_complete(SimDay day,
                                const std::vector<std::uint8_t>& state) = 0;
 };
 
-// The section encoders' writer shape over a blob: values go out in call
+// The section encoders' writer shape over a record: values go out in call
 // order and a 1 byte opens each row (a 0 byte closes the section).
 class BlobRowWriter {
  public:
@@ -77,7 +78,7 @@ class BlobRowWriter {
   }
 };
 
-// The decoders' reader shape over a blob. Values come back in the order
+// The decoders' reader shape over a record. Values come back in the order
 // they were written: the decoders read a row's columns in ascending order,
 // as the encoders write them.
 class BlobRowReader {

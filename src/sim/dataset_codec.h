@@ -1,5 +1,5 @@
 // One Dataset codec: the section table. The CSF1 store (store/dataset_io.h)
-// and the checkpoint blob (sim/checkpoint.h) hold a Dataset as the same ten
+// and the checkpoint log (sim/checkpoint.h) hold a Dataset as the same ten
 // sections, one per CSF1 feed. Each has one encoder, encode_section, that
 // emits rows through the FeedFileWriter call shape (u64/i64/f64/bytes(col,
 // value), end_row(day)), and one decoder, DatasetDecoder::apply, that reads
@@ -8,11 +8,13 @@
 // live in store/feeds.cc. The ids are CSF1 format: append, never renumber.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -169,16 +171,30 @@ void encode_kpi_row(const telemetry::CellDayRecord& r, W& w) {
 
 // Days a series never touched or a distribution never sealed are default
 // state, not data, and emit no row; a sealed day is state even at n == 0.
+// Given `only_day`, a dated section emits that day's rows alone (the rows
+// of a checkpoint record); sections without days (homes, validation,
+// scalars, quality totals) are emitted whole either way.
 template <class W>
-void encode_section(Section section, const Dataset& ds, W& w) {
+void encode_section(Section section, const Dataset& ds, W& w,
+                    std::optional<SimDay> only_day = std::nullopt) {
   using U = std::uint64_t;
   using I = std::int64_t;
+  const SimDay lo = only_day.value_or(std::numeric_limits<SimDay>::min());
+  const SimDay hi = only_day.value_or(std::numeric_limits<SimDay>::max());
+  // The rows of a day-sorted vector whose day lies in [lo, hi].
+  const auto dated = [lo, hi](const auto& rows) {
+    const auto begin = std::partition_point(
+        rows.begin(), rows.end(), [lo](const auto& r) { return r.day < lo; });
+    const auto end = std::partition_point(
+        begin, rows.end(), [hi](const auto& r) { return r.day <= hi; });
+    return std::span{begin, end};
+  };
   switch (section) {
     case Section::kKpis:
-      for (const auto& r : ds.kpis.records()) encode_kpi_row(r, w);
+      for (const auto& r : dated(ds.kpis.records())) encode_kpi_row(r, w);
       return;
     case Section::kSignaling:
-      for (const auto& d : ds.signaling.days()) {
+      for (const auto& d : dated(ds.signaling.days())) {
         w.i64(0, d.day);
         for (std::size_t t = 0; t < d.total.size(); ++t) {
           w.u64(1 + 2 * t, d.total[t]);
@@ -200,7 +216,8 @@ void encode_section(Section section, const Dataset& ds, W& w) {
       return;
     case Section::kSeries: {
       const auto put = [&](U id, U group, const DailySeries& s) {
-        for (SimDay day = s.first_day(); day <= s.last_day(); ++day)
+        for (SimDay day = std::max(s.first_day(), lo);
+             day <= std::min(s.last_day(), hi); ++day)
           if (const U count = s.count(day); count > 0)
             put_row(w, day, id, group, I{day}, s.day_sum(day), count);
       };
@@ -216,7 +233,8 @@ void encode_section(Section section, const Dataset& ds, W& w) {
     case Section::kDistributions:
       for (std::size_t id = 0; id < kDistributions.size(); ++id) {
         const analysis::DistributionSeries& d = ds.*kDistributions[id];
-        for (SimDay day = d.first_day(); day <= d.last_day(); ++day) {
+        for (SimDay day = std::max(d.first_day(), lo);
+             day <= std::min(d.last_day(), hi); ++day) {
           if (!d.sealed_day(day)) continue;
           const stats::Summary& s = d.day_summary(day);
           put_row(w, day, U{id}, I{day}, U{s.n}, s.mean, s.p10, s.p25,
@@ -227,13 +245,15 @@ void encode_section(Section section, const Dataset& ds, W& w) {
     case Section::kMatrix: {
       if (ds.london_matrix == nullptr) return;
       const analysis::MobilityMatrix& m = *ds.london_matrix;
+      const SimDay first = std::max(m.first_day(), lo);
+      const SimDay last = std::min(m.last_day(), hi);
       for (U c = 0; c < ds.geography->counties().size(); ++c)
-        for (SimDay day = m.first_day(); day <= m.last_day(); ++day)
+        for (SimDay day = first; day <= last; ++day)
           if (const double presence =
                   m.presence(CountyId{static_cast<std::uint32_t>(c)}, day);
               presence != 0.0)
             put_row(w, day, U{kPresenceRow}, c, I{day}, presence, U{0});
-      for (SimDay day = m.first_day(); day <= m.last_day(); ++day)
+      for (SimDay day = first; day <= last; ++day)
         if (const U observations = m.day_observations(day); observations > 0)
           put_row(w, day, U{kObservationsRow}, U{0}, I{day}, 0.0,
                   observations);
@@ -247,13 +267,15 @@ void encode_section(Section section, const Dataset& ds, W& w) {
         put_row(w, 0, U{kFeedTotalsRow}, std::string_view{f.name}, I{0},
                 U{f.expected_records}, U{f.observed_records},
                 U{f.quarantined_records}, U{f.duplicate_records});
-        for (const auto& [day, counts] : f.days)
-          put_row(w, day, U{kFeedDayRow}, std::string_view{}, I{day}, i,
-                  U{counts.expected}, U{counts.observed}, U{0});
+        for (auto it = f.days.lower_bound(lo);
+             it != f.days.end() && it->first <= hi; ++it)
+          put_row(w, it->first, U{kFeedDayRow}, std::string_view{},
+                  I{it->first}, i, U{it->second.expected},
+                  U{it->second.observed}, U{0});
       }
       return;
     case Section::kVoice:
-      for (const auto& d : ds.voice_calls.days())
+      for (const auto& d : dated(ds.voice_calls.days()))
         put_row(w, d.day, I{d.day}, U{d.attempts}, U{d.completed},
                 U{d.blocked}, U{d.dropped});
       return;
@@ -286,12 +308,12 @@ void encode_section(Section section, const Dataset& ds, W& w) {
   }
 }
 
-// The Dataset half of a checkpoint blob: every section in kDecodeOrder,
-// through the blob adapters of sim/checkpoint.h. decode_sections expects
-// `ds` to hold the substrate and window shape (build_substrate) and throws
-// BlobError on truncated input, a refused row or an inconsistent section.
-void encode_sections(const Dataset& ds, BlobWriter& w);
-void decode_sections(Dataset& ds, BlobReader& r);
+// The Dataset half of day `day`'s checkpoint record (sim/run_state.h):
+// every section in kDecodeOrder through the blob adapters of
+// sim/checkpoint.h, each closed by a 0 byte. Dated sections hold that
+// day's rows alone; homes and validation are emitted only `with_homes`.
+void encode_sections(const Dataset& ds, SimDay day, bool with_homes,
+                     BlobWriter& w);
 
 // ---------------------------------------------------------------- decoders
 
@@ -312,17 +334,23 @@ template <class R>
 
 // Decodes sections in kDecodeOrder, each followed by close(), into a Dataset
 // holding its substrate and window shape; every index is checked first.
+// The store decodes each section once. A checkpoint log decodes every
+// record's sections in turn through one decoder: dated rows accumulate
+// (days must keep moving forward across records), scalars and quality
+// totals are restated whole by each record, and homes and validation
+// arrive in one record only.
 class DatasetDecoder {
  public:
   explicit DatasetDecoder(Dataset& ds) : ds_(ds) {}
 
   // False, applying nothing, when the row is refused: an id, index or day
-  // the Dataset's config and substrate do not allow, or out of day order.
+  // the Dataset's config and substrate do not allow, out of day order, or
+  // validation after a record already closed it.
   template <class R>
   bool apply(Section section, R& row);
 
   // False when the section is inconsistent (a matrix shape outside the
-  // config window).
+  // config window, or unlike the shape an earlier record set).
   bool close(Section section);
 
   // True when the sections hold exactly the rows the scalars counted.
@@ -332,10 +360,17 @@ class DatasetDecoder {
   Dataset& ds_;
   std::map<std::uint64_t, std::pair<double, std::uint64_t>> scalars_;
   std::vector<telemetry::CellDayRecord> kpi_day_;  // rows of the open day
-  std::vector<std::string> quality_names_;         // totals rows, in order
+  std::vector<std::string> quality_names_;  // this section's totals, in order
+  bool validation_closed_ = false;  // a closed section held validation rows
 
   [[nodiscard]] std::pair<double, std::uint64_t> scalar(ScalarId id) const;
 };
+
+// Applies one record's sections through `decoder`, whose Dataset holds the
+// substrate, the window shape and every earlier record of the log. Throws
+// BlobError on truncated input, a refused row, an inconsistent section, or
+// row counts that disagree with the record's scalars.
+void decode_sections(DatasetDecoder& decoder, BlobReader& r);
 
 template <class R>
 bool DatasetDecoder::apply(Section section, R& row) {
@@ -383,7 +418,8 @@ bool DatasetDecoder::apply(Section section, R& row) {
     }
     case Section::kValidation: {
       const auto [lad, census, inferred] = get_row<I, I, I>(row);
-      if (lad < 0 || lad > std::numeric_limits<std::uint32_t>::max())
+      if (validation_closed_ || lad < 0 ||
+          lad > std::numeric_limits<std::uint32_t>::max())
         return false;
       ds_.home_validation.points.push_back({LadId{u32(lad)}, census, inferred});
       return true;

@@ -17,6 +17,7 @@
 #include "radio/scheduler.h"
 #include "sim/interrupt.h"
 #include "sim/pool.h"
+#include "sim/run_state.h"
 #include "sim/supervisor.h"
 #include "traffic/demand.h"
 #include "traffic/voice.h"
@@ -228,24 +229,29 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     audit_bounds = audit::bounds_for(topology);
   }
 
-  // Per-user structures.
+  // Home detection runs over the warm-up and closes when week 9 opens, so
+  // that the Fig 7 matrix can track detected residents from the baseline
+  // week onward (Feb 3-23 gives 21 candidate nights >= the 14 required).
+  const SimDay analysis_start = week_start_day(9);
+  analysis::HomeDetectionParams home_params;
+  home_params.first_day = first_day;
+  home_params.end_day = std::min<SimDay>(analysis_start, last_day + 1);
+
+  // Per-user structures. The run-local evolving state lives in RunState,
+  // which the checkpoint records carry; the rest regrows from the config.
   const std::size_t n_users = subscribers.size();
-  std::vector<mobility::UserPlaces> user_places(n_users);
-  std::vector<mobility::UserState> user_states(n_users);
-  std::vector<std::vector<PlaceCells>> place_cells(n_users);
+  std::vector<mobility::UserPlaces> generated_places(n_users);
   {
     const auto span = tracer.span("setup.places", "setup");
     for (std::size_t i = 0; i < n_users; ++i) {
       Rng user_rng = root.fork("user-places", i);
-      user_places[i] = places_builder.build(subscribers[i], user_rng);
+      generated_places[i] = places_builder.build(subscribers[i], user_rng);
     }
   }
-  // Generated place counts, before the relocation model appends any refuge.
-  // The baseline regenerates from the seed, so a checkpoint serializes only
-  // the places appended beyond it.
-  std::vector<std::uint8_t> base_place_count(n_users);
-  for (std::size_t i = 0; i < n_users; ++i)
-    base_place_count[i] = static_cast<std::uint8_t>(user_places[i].size());
+  RunState run_state{std::move(generated_places), home_params};
+  std::vector<mobility::UserState>& user_states = run_state.user_states;
+  std::vector<mobility::UserPlaces>& user_places = run_state.user_places;
+  std::vector<std::vector<PlaceCells>> place_cells(n_users);
   const auto cells_of = [&](std::size_t user,
                             std::uint8_t place_index) -> const PlaceCells& {
     auto& resolved = place_cells[user];
@@ -256,15 +262,6 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     return resolved[place_index];
   };
 
-  // Home detection runs over the warm-up and closes when week 9 opens, so
-  // that the Fig 7 matrix can track detected residents from the baseline
-  // week onward (Feb 3-23 gives 21 candidate nights >= the 14 required).
-  const SimDay analysis_start = week_start_day(9);
-  analysis::HomeDetectionParams home_params;
-  home_params.first_day = first_day;
-  home_params.end_day = std::min<SimDay>(analysis_start, last_day + 1);
-  analysis::HomeDetector home_detector{home_params};
-  bool homes_finalized = false;
   std::vector<std::uint8_t> tracked_london(n_users, 0);
 
   const auto inner_london = geography.county_by_name("Inner London");
@@ -277,11 +274,6 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   std::vector<radio::CellHourLoad> hour_loads(n_cells * kHoursPerDay);
   std::array<double, kHoursPerDay> offnet_minutes{};
   std::array<std::uint64_t, kHoursPerDay> voice_attempts_hour{};
-  double week9_busy_hour_minutes = 0.0;
-  bool interconnect_calibrated = false;
-
-  double lte_hours = 0.0;
-  double legacy_hours = 0.0;
 
   // ---------------------------------------------------- parallel engine
   // The per-user day simulation is embarrassingly parallel: every mutable
@@ -361,144 +353,24 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   Supervisor supervisor{pool};
 
   // -------------------------------------------------- checkpoint/resume
-  // One blob per completed day: the run-local evolving state below, then
-  // the accumulated Dataset's sections (sim/checkpoint.h). Everything else
-  // regrows from the config. The restore reads the exact same sequence
-  // back; the version is its first byte.
-  constexpr std::uint64_t kRunStateVersion = 2;
-  static_assert(kRunStateVersion < 0x80);
-  const auto save_checkpoint = [&](SimDay day_done) {
-    BlobWriter w;
-    w.u64(kRunStateVersion);
-    w.u64(n_users);
-    for (std::size_t i = 0; i < n_users; ++i) {
-      const mobility::UserState& s = user_states[i];
-      w.u8(static_cast<std::uint8_t>(
-          (s.departed ? 1u : 0u) | (s.relocated ? 2u : 0u) |
-          (s.wfh_active ? 4u : 0u) | (s.relocation_decided ? 8u : 0u)));
-    }
-    // Refuge places the relocation model appended beyond the baseline.
-    std::uint64_t appended = 0;
-    for (std::size_t i = 0; i < n_users; ++i)
-      if (user_places[i].size() > base_place_count[i]) ++appended;
-    w.u64(appended);
-    for (std::size_t i = 0; i < n_users; ++i) {
-      const mobility::UserPlaces& places = user_places[i];
-      if (places.size() <= base_place_count[i]) continue;
-      w.u32(static_cast<std::uint32_t>(i));
-      w.u8(places.refuge_index);
-      w.u8(static_cast<std::uint8_t>(places.size() - base_place_count[i]));
-      for (std::size_t p = base_place_count[i]; p < places.size(); ++p) {
-        const mobility::Place& place = places.places[p];
-        w.u8(static_cast<std::uint8_t>(place.kind));
-        w.u32(place.district.value());
-        w.u32(place.county.value());
-        w.f64(place.location.lat_deg);
-        w.f64(place.location.lon_deg);
-        w.f64(place.weight);
-      }
-    }
-    w.u8(homes_finalized ? 1 : 0);
-    if (!homes_finalized) {
-      // Mid-warm-up: the detector's night accumulators are live state.
-      // Once finalized they are spent; ds.homes (dataset section) carries
-      // the result instead.
-      const auto saved = home_detector.save_state();
-      w.u64(saved.size());
-      for (const auto& u : saved) {
-        w.u32(u.user);
-        w.u32(u.nights);
-        w.i64(u.last_night_day);
-        w.u64(u.sites.size());
-        for (const auto& s : u.sites) {
-          w.u32(s.site);
-          w.f64(s.night_hours);
-          w.u32(s.district);
-          w.u32(s.county);
-        }
-      }
-    }
-    w.f64(week9_busy_hour_minutes);
-    w.u8(interconnect_calibrated ? 1 : 0);
-    w.f64(lte_hours);
-    w.f64(legacy_hours);
-    encode_sections(ds, w);
-    if (obs_on)
-      obs::track_bytes(obs::Subsystem::kSim, w.data().size());
-    checkpoint->on_day_complete(day_done, w.take());
-  };
-
+  // One record per completed day (sim/run_state.h): the run state, then
+  // that day's rows of the Dataset. Resume replays the saved log in order;
+  // a log of another run-state version starts a fresh run.
   SimDay start_day = first_day;
-  // A blob of another run-state version (an older build's record of this
-  // scenario) is no resumable state: the run starts fresh.
   if (checkpoint != nullptr && !checkpoint->resume_payload().empty() &&
       checkpoint->resume_payload().front() == kRunStateVersion) {
     const auto resume_span = tracer.span("setup.resume", "setup");
-    BlobReader r{checkpoint->resume_payload()};
-    (void)r.u64();  // the run-state version, checked above
-    if (r.u64() != n_users)
-      throw BlobError{"checkpoint blob: user count mismatch"};
-    for (std::size_t i = 0; i < n_users; ++i) {
-      const std::uint8_t flags = r.u8();
-      mobility::UserState& s = user_states[i];
-      s.departed = (flags & 1u) != 0;
-      s.relocated = (flags & 2u) != 0;
-      s.wfh_active = (flags & 4u) != 0;
-      s.relocation_decided = (flags & 8u) != 0;
-    }
-    const std::uint64_t appended_users = r.u64();
-    for (std::uint64_t k = 0; k < appended_users; ++k) {
-      const std::uint32_t user = r.u32();
-      if (user >= n_users)
-        throw BlobError{"checkpoint blob: appended-place user out of range"};
-      mobility::UserPlaces& places = user_places[user];
-      const std::uint8_t refuge_index = r.u8();
-      const std::uint8_t n_extra = r.u8();
-      for (std::uint8_t p = 0; p < n_extra; ++p) {
-        mobility::Place place;
-        place.kind = static_cast<mobility::PlaceKind>(r.u8());
-        place.district = PostcodeDistrictId{r.u32()};
-        place.county = CountyId{r.u32()};
-        place.location.lat_deg = r.f64();
-        place.location.lon_deg = r.f64();
-        place.weight = r.f64();
-        places.places.push_back(place);
-      }
-      places.refuge_index = refuge_index;
-    }
-    homes_finalized = r.u8() != 0;
-    if (!homes_finalized) {
-      std::vector<analysis::HomeDetector::SavedUserState> saved(
-          static_cast<std::size_t>(r.u64()));
-      for (auto& u : saved) {
-        u.user = r.u32();
-        if (u.user >= n_users)
-          throw BlobError{"checkpoint blob: detector user out of range"};
-        u.nights = r.u32();
-        u.last_night_day = static_cast<SimDay>(r.i64());
-        u.sites.resize(static_cast<std::size_t>(r.u64()));
-        for (auto& s : u.sites) {
-          s.site = r.u32();
-          s.night_hours = r.f64();
-          s.district = r.u32();
-          s.county = r.u32();
-        }
-      }
-      home_detector.restore_state(saved);
-    }
-    week9_busy_hour_minutes = r.f64();
-    interconnect_calibrated = r.u8() != 0;
-    lte_hours = r.f64();
-    legacy_hours = r.f64();
-    decode_sections(ds, r);
-    if (!r.done()) throw BlobError{"checkpoint blob: trailing bytes"};
+    if (replay_log(checkpoint->resume_payload(), first_day, run_state, ds) !=
+        checkpoint->resume_day())
+      throw BlobError{"checkpoint log: last record is not the resume day"};
 
-    // Derived state the blob does not carry: the interconnect's capacity
+    // Derived state the log does not carry: the interconnect's capacity
     // (a pure function of the calibration scalar) and the London tracking
     // flags (a pure function of the restored, bounds-checked homes).
-    if (interconnect_calibrated)
-      interconnect.calibrate(std::max(week9_busy_hour_minutes, 1.0));
-    if (homes_finalized && inner_london) {
+    if (run_state.interconnect_calibrated)
+      interconnect.calibrate(
+          std::max(run_state.week9_busy_hour_minutes, 1.0));
+    if (run_state.homes_finalized && inner_london) {
       for (const auto& home : ds.homes)
         if (home.home_county == *inner_london)
           tracked_london[home.user.value()] = 1;
@@ -527,6 +399,8 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       }
     }
   }
+  // Homes and validation go into the record of the day they finalize only.
+  bool homes_in_record = false;
 
   // ------------------------------------------------------------- main loop
   for (SimDay day = start_day; day <= last_day; ++day) {
@@ -534,9 +408,10 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     const auto day_clock_start = std::chrono::steady_clock::now();
 
     // Finalize homes the moment the analysis window opens.
-    if (!homes_finalized && day >= analysis_start) {
-      homes_finalized = true;
-      ds.homes = home_detector.finalize();
+    if (!run_state.homes_finalized && day >= analysis_start) {
+      run_state.homes_finalized = true;
+      homes_in_record = true;
+      ds.homes = run_state.home_detector.finalize();
       ds.home_validation = analysis::validate_homes(
           geography, ds.homes, static_cast<std::int64_t>(ds.eligible_users));
       if (inner_london) {
@@ -554,7 +429,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     const bool kpi_day = config_.collect_kpis && day >= kpi_first_day;
     if (kpi_day) kpi_aggregator.begin_day(day);
 
-    const bool collect_homes = !homes_finalized;
+    const bool collect_homes = !run_state.homes_finalized;
     const bool track_matrix = ds.london_matrix != nullptr;
 
     // Chunk-load buffers are sized lazily on the first KPI day; reduction
@@ -860,8 +735,8 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       (void)chunk;
       ChunkBuf& b = chunk_bufs[slot];
       roamers_today += b.roamers;
-      lte_hours += b.lte_hours;
-      legacy_hours += b.legacy_hours;
+      run_state.lte_hours += b.lte_hours;
+      run_state.legacy_hours += b.legacy_hours;
       obs_expected_today += b.obs_expected;
       obs_observed_today += b.obs_observed;
       sig_forwarded_today += b.sig_forwarded;
@@ -877,7 +752,8 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       b.probe = telemetry::SignalingProbe{};
       b.state_snapshot.clear();
       b.places_snapshot.clear();
-      for (const auto& obs : b.detector_obs) home_detector.observe(obs);
+      for (const auto& obs : b.detector_obs)
+        run_state.home_detector.observe(obs);
       b.detector_obs.clear();
       for (const auto& result : b.mobility) {
         const population::Subscriber& user = subscribers[result.user];
@@ -973,17 +849,18 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       const double day_busy_hour =
           *std::max_element(offnet_minutes.begin(), offnet_minutes.end());
       if (iso_week(day) == calibration_week) {
-        week9_busy_hour_minutes =
-            std::max(week9_busy_hour_minutes, day_busy_hour);
-      } else if (!interconnect_calibrated) {
-        interconnect.calibrate(std::max(week9_busy_hour_minutes, 1.0));
-        interconnect_calibrated = true;
+        run_state.week9_busy_hour_minutes =
+            std::max(run_state.week9_busy_hour_minutes, day_busy_hour);
+      } else if (!run_state.interconnect_calibrated) {
+        interconnect.calibrate(
+            std::max(run_state.week9_busy_hour_minutes, 1.0));
+        run_state.interconnect_calibrated = true;
       }
 
       std::array<double, kHoursPerDay> hour_loss{};
       for (int h = 0; h < kHoursPerDay; ++h) {
         hour_loss[static_cast<std::size_t>(h)] =
-            interconnect_calibrated
+            run_state.interconnect_calibrated
                 ? interconnect.dl_loss_pct(day, offnet_minutes[h])
                 : interconnect.params().base_loss_pct;
       }
@@ -1008,7 +885,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
         vday.attempts += attempts;
         if (attempts == 0) continue;
         double overflow_frac = 0.0;
-        if (interconnect_calibrated) {
+        if (run_state.interconnect_calibrated) {
           const double cap = interconnect.capacity(day);
           const double offered = offnet_minutes[static_cast<std::size_t>(h)];
           if (offered > cap && offered > 0.0)
@@ -1135,7 +1012,9 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     if (checkpoint != nullptr) {
       const auto ckpt_span = tracer.span("day.checkpoint", "sim", day);
       const auto ckpt_start = std::chrono::steady_clock::now();
-      save_checkpoint(day);
+      checkpoint->on_day_complete(
+          day, encode_record(day, run_state, ds, homes_in_record));
+      homes_in_record = false;
       if (obs_on) {
         const double ckpt_ms = std::chrono::duration<double, std::milli>(
                                    std::chrono::steady_clock::now() -
@@ -1186,12 +1065,13 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
                        static_cast<double>(obs::peak_rss_kb()));
   }
 
-  if (lte_hours + legacy_hours > 0.0)
-    ds.measured_lte_time_share = lte_hours / (lte_hours + legacy_hours);
+  if (const double hours = run_state.lte_hours + run_state.legacy_hours;
+      hours > 0.0)
+    ds.measured_lte_time_share = run_state.lte_hours / hours;
 
   // Degenerate scenarios that never reach week 9 still finalize homes.
-  if (!homes_finalized) {
-    ds.homes = home_detector.finalize();
+  if (!run_state.homes_finalized) {
+    ds.homes = run_state.home_detector.finalize();
     ds.home_validation = analysis::validate_homes(
         geography, ds.homes, static_cast<std::int64_t>(ds.eligible_users));
   }

@@ -1,28 +1,36 @@
-// Durable, digest-keyed checkpoint records: the store side of
-// checkpoint/resume (sim/checkpoint.h has the simulator side and the
-// bitwise resume contract; docs/RECOVERY.md has the operator story).
+// Durable, digest-keyed checkpoint log: the store side of checkpoint/resume
+// (sim/checkpoint.h has the simulator side and the bitwise resume contract;
+// docs/RECOVERY.md has the operator story).
 //
-// One file, `checkpoint.ckpt`, in the store directory, rewritten whole
-// after every completed day through the same tmp + fsync + rename
-// discipline as the feed shards (common/atomic_file.h) — a crash at any
-// instant leaves either the previous day's record or the new one, never a
-// torn mix. On-disk layout (integers little-endian):
+// One file, `checkpoint.ckpt`, in the store directory: a header naming the
+// scenario, then one record per completed day, in day order. On-disk
+// layout (integers little-endian):
 //
 //   u32  magic "CKPT"
-//   u32  version
+//   u32  version (2; version 1 was one whole-Dataset blob)
 //   u32  digest length, then the scenario config digest bytes
-//   i64  high-water mark (last fully completed day)
-//   u64  payload length, then the opaque simulator blob
-//   u32  CRC32C over everything above
+//   per record:
+//     i64  day
+//     u64  payload length, then the payload (one simulator record)
+//     u32  CRC32C over the day, the length and the payload
 //
-// The digest keys the record to the scenario: a checkpoint written under a
-// different config (or a corrupt/truncated file) is ignored and the run
-// starts fresh — resuming someone else's state would be worse than
-// restarting. clear() removes the file once the run publishes its final
-// manifest, so a completed store carries no checkpoint.
+// A record whose day directly follows the last persisted one is appended
+// and fdatasynced. Any other record starts a new log — the first record of
+// a fresh run, or of a run that ignored an older log — published whole
+// through tmp + fsync + rename (common/atomic_file.h). A crash mid-append
+// leaves a torn tail; loading keeps the whole records before it, and the
+// first append truncates it away. So a crash at any instant leaves every
+// record whose save returned, never a torn mix.
+//
+// The digest keys the log to the scenario: a log written under a different
+// config (or an unreadable file) is ignored and the run starts fresh —
+// resuming someone else's state would be worse than restarting. clear()
+// removes the file once the run publishes its final manifest, so a
+// completed store carries no checkpoint.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,13 +41,19 @@ namespace cellscope::store {
 
 class CheckpointManager final : public sim::CheckpointSink {
  public:
-  // Loads any resumable state from `dir`/checkpoint.ckpt whose digest
-  // matches `config_digest`. Mismatched, corrupt, or absent records leave
-  // the manager empty (fresh run); they are never an error.
+  // Loads the whole records of `dir`/checkpoint.ckpt when its digest
+  // matches `config_digest`. Mismatched, corrupt, or absent logs leave the
+  // manager empty (fresh run); they are never an error.
   CheckpointManager(std::string dir, std::string config_digest);
+  ~CheckpointManager() override;
+  CheckpointManager(const CheckpointManager&) = delete;
+  CheckpointManager& operator=(const CheckpointManager&) = delete;
 
+  // The loaded records' payloads, concatenated; released by the first save.
   [[nodiscard]] std::span<const std::uint8_t> resume_payload() const override;
+  // The day of the last persisted record.
   [[nodiscard]] SimDay resume_day() const override;
+  // Persists one record (see the file comment); keeps no copy of it.
   void on_day_complete(SimDay day,
                       const std::vector<std::uint8_t>& state) override;
 
@@ -57,10 +71,14 @@ class CheckpointManager final : public sim::CheckpointSink {
  private:
   std::string path_;
   std::string digest_;
-  SimDay resume_day_ = -1;
+  std::optional<SimDay> last_day_;  // of the last persisted record
+  std::uint64_t end_ = 0;           // file bytes that hold whole records
   std::vector<std::uint8_t> payload_;
+  int fd_ = -1;  // open for appends, truncated to end_ when opened
   int kill_after_days_ = 0;
   int days_saved_ = 0;
+
+  void close_fd();
 };
 
 }  // namespace cellscope::store

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "sim/simulator.h"
+#include "store/checkpoint.h"
 #include "store/dataset_io.h"
 #include "store/format.h"
 #include "support/dataset_compare.h"
@@ -63,33 +64,45 @@ void expect_dirs_byte_identical(const std::string& a, const std::string& b) {
         << name << " differs between " << a << " and " << b;
 }
 
+// One child process per entry of `kills`, each resuming what the previous
+// one left and SIGKILLing itself after that many checkpoint records of its
+// own; then a resume to completion, compared with an uninterrupted run.
 void expect_crash_resume_identical(const sim::ScenarioConfig& config,
-                                   const std::string& name) {
+                                   const std::string& name,
+                                   const std::vector<int>& kills) {
   const std::string crash_dir = fresh_dir(name);
   const std::string ref_dir = fresh_dir(name + "_ref");
 
-  // The child simulates with crash injection armed: right after the 25th
-  // day's checkpoint publishes, it SIGKILLs itself. No gtest machinery in
-  // the child — it either dies by signal (expected) or exits 0 (a bug the
-  // parent's WIFSIGNALED assert catches).
-  const pid_t child = fork();
-  ASSERT_NE(child, -1);
-  if (child == 0) {
-    StoreRunOptions options;
-    options.kill_after_days = 25;
-    (void)simulate_to_store(config, crash_dir, options);
-    _exit(0);
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited instead of crashing";
-  EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  int days_done = 0;
+  for (const int kill_after : kills) {
+    // The child simulates with crash injection armed: right after its
+    // kill_after-th record persists, it SIGKILLs itself. No gtest
+    // machinery in the child — it either dies by signal (expected) or
+    // exits 0 (a bug the parent's WIFSIGNALED assert catches).
+    const pid_t child = fork();
+    ASSERT_NE(child, -1);
+    if (child == 0) {
+      StoreRunOptions options;
+      options.kill_after_days = kill_after;
+      (void)simulate_to_store(config, crash_dir, options);
+      _exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "child exited instead of crashing";
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
-  // The wreckage: a checkpoint, no published manifest (the run never
-  // finished), and in-flight *.tmp litter is possible.
-  EXPECT_TRUE(std::filesystem::exists(crash_dir + "/checkpoint.ckpt"));
-  EXPECT_FALSE(std::filesystem::exists(crash_dir + "/" +
-                                       std::string(kManifestFile)));
+    // The wreckage: a checkpoint log holding every day simulated so far,
+    // no published manifest (the run never finished), and in-flight *.tmp
+    // litter is possible.
+    days_done += kill_after;
+    EXPECT_TRUE(std::filesystem::exists(crash_dir + "/checkpoint.ckpt"));
+    EXPECT_EQ(CheckpointManager(crash_dir, sim::config_digest(config))
+                  .resume_day(),
+              config.first_day() + days_done - 1);
+    EXPECT_FALSE(std::filesystem::exists(crash_dir + "/" +
+                                         std::string(kManifestFile)));
+  }
 
   // A fresh process resumes from the wreckage and runs to completion.
   const sim::Dataset resumed = simulate_to_store(config, crash_dir);
@@ -108,11 +121,7 @@ void expect_crash_resume_identical(const sim::ScenarioConfig& config,
   EXPECT_TRUE(outcome.complete());
 }
 
-TEST(CrashResume, SigkillMidRunResumesByteIdentical) {
-  expect_crash_resume_identical(crash_config(), "clean");
-}
-
-TEST(CrashResume, FaultedSigkillMidRunResumesByteIdentical) {
+sim::ScenarioConfig faulted_config() {
   sim::ScenarioConfig config = crash_config();
   config.seed = 31337;
   config.faults.observation_loss_rate = 0.05;
@@ -120,7 +129,26 @@ TEST(CrashResume, FaultedSigkillMidRunResumesByteIdentical) {
   config.faults.kpi_record_duplication_rate = 0.005;
   config.faults.signaling_outages_per_week = 1.0;
   config.faults.signaling_outage_mean_hours = 6.0;
-  expect_crash_resume_identical(config, "faulted");
+  return config;
+}
+
+TEST(CrashResume, SigkillMidRunResumesByteIdentical) {
+  expect_crash_resume_identical(crash_config(), "clean", {25});
+}
+
+TEST(CrashResume, FaultedSigkillMidRunResumesByteIdentical) {
+  expect_crash_resume_identical(faulted_config(), "faulted", {25});
+}
+
+// A resumed run appends to the log it loaded. The first crash lands on a
+// warm-up day, whose record carries the home detector's state; the second,
+// 30 records into the resumed run, on a KPI day.
+TEST(CrashResume, SecondCrashAfterResumeResumesByteIdentical) {
+  expect_crash_resume_identical(crash_config(), "clean_twice", {10, 30});
+}
+
+TEST(CrashResume, FaultedSecondCrashAfterResumeResumesByteIdentical) {
+  expect_crash_resume_identical(faulted_config(), "faulted_twice", {10, 30});
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 //     in column order, through the call its Encoding takes — the contract
 //     FeedFileWriter leaves unchecked and the blob reader relies on — and
 //     tags day-keyed rows with their day column.
-//   * The checkpoint blob round-trips that Dataset bit for bit.
+//   * A checkpoint record holding every day's rows round-trips that
+//     Dataset bit for bit.
 //   * Indices restored from disk are bounds-checked on both sides: a
 //     crafted record is refused with BlobError by the checkpoint restore
 //     and quarantined (kDegraded, never a throw) by read_dataset.
@@ -135,12 +136,17 @@ TEST(DatasetCodec, EveryEncoderSetsEachRegisteredColumnOnceInOrder) {
 
 TEST(DatasetCodec, BlobRoundTripIsBitIdentical) {
   BlobWriter w;
-  encode_sections(smoke(), w);
+  BlobRowWriter rows{w};
+  for (const Section section : kDecodeOrder) {
+    encode_section(section, smoke(), rows);
+    w.u8(0);  // end of section
+  }
   const std::vector<std::uint8_t> blob = w.take();
 
   Dataset restored = substrate_of(codec_config());
+  DatasetDecoder decoder{restored};
   BlobReader r{blob};
-  decode_sections(restored, r);
+  decode_sections(decoder, r);
   EXPECT_TRUE(r.done());
   testsupport::expect_datasets_identical(smoke(), restored);
 }
@@ -244,8 +250,9 @@ TEST(DatasetCodec, CheckpointRestoreRefusesCraftedIndices) {
     }
     const std::vector<std::uint8_t> blob = w.take();
     Dataset restored = substrate_of(codec_config());
+    DatasetDecoder decoder{restored};
     BlobReader r{blob};
-    EXPECT_THROW(decode_sections(restored, r), BlobError);
+    EXPECT_THROW(decode_sections(decoder, r), BlobError);
   }
 }
 

@@ -164,9 +164,9 @@ TEST(DeterminismContract, RejectsBadChunkSize) {
 // The resume contract (sim/checkpoint.h): a run restored from any day's
 // checkpoint must finish with a Dataset BIT-identical to the uninterrupted
 // run, at any worker count on either side of the interruption. An
-// in-memory sink records every day's blob from one full run; each test
-// primes a fresh sink with one of those blobs and lets a second run
-// fast-forward from it.
+// in-memory sink records every day's record from one full run; each test
+// primes a fresh sink with the log of records up to one day and lets a
+// second run fast-forward from it.
 class MemoryCheckpoint final : public CheckpointSink {
  public:
   [[nodiscard]] std::span<const std::uint8_t> resume_payload()
@@ -179,9 +179,15 @@ class MemoryCheckpoint final : public CheckpointSink {
     saved_.emplace_back(day, state);
   }
 
-  void prime(SimDay day, std::vector<std::uint8_t> payload) {
-    resume_day_ = day;
-    resume_payload_ = std::move(payload);
+  // The log `recorder` saved through its record `last`.
+  void prime(const MemoryCheckpoint& recorder, std::size_t last) {
+    resume_payload_.clear();
+    for (std::size_t i = 0; i <= last; ++i) {
+      const std::vector<std::uint8_t>& record = recorder.saved()[i].second;
+      resume_payload_.insert(resume_payload_.end(), record.begin(),
+                             record.end());
+    }
+    resume_day_ = recorder.saved()[last].first;
   }
   [[nodiscard]] const std::vector<
       std::pair<SimDay, std::vector<std::uint8_t>>>&
@@ -195,7 +201,7 @@ class MemoryCheckpoint final : public CheckpointSink {
   std::vector<std::pair<SimDay, std::vector<std::uint8_t>>> saved_;
 };
 
-// The serial reference run, with every day's checkpoint blob recorded;
+// The serial reference run, with every day's checkpoint record recorded;
 // computed once for the whole resume suite.
 struct RecordedRun {
   Dataset dataset;
@@ -216,7 +222,7 @@ const RecordedRun& recorded_reference() {
 Dataset resume_from(const MemoryCheckpoint& recorder, std::size_t index,
                     int workers, bool audit = false) {
   MemoryCheckpoint source;
-  source.prime(recorder.saved()[index].first, recorder.saved()[index].second);
+  source.prime(recorder, index);
   auto config = matrix_config();
   config.worker_threads = workers;
   config.audit = audit;
@@ -268,7 +274,7 @@ TEST(CheckpointResume, ResumedCheckpointsByteIdenticalToFullRuns) {
   ASSERT_GT(saved.size(), 3u);
   const std::size_t mid = saved.size() / 2;
   MemoryCheckpoint source;
-  source.prime(saved[mid].first, saved[mid].second);
+  source.prime(full.checkpoints, mid);
   auto config = matrix_config();
   config.worker_threads = 2;
   Simulator simulator{config};
@@ -303,11 +309,55 @@ TEST(CheckpointResume, FaultedResumeBitIdenticalIncludingQualityLedger) {
 
   const std::size_t mid = recorder.saved().size() / 2;
   MemoryCheckpoint source;
-  source.prime(recorder.saved()[mid].first, recorder.saved()[mid].second);
+  source.prime(recorder, mid);
   config.worker_threads = 3;
   Simulator resumed_sim{config};
   const Dataset resumed = resumed_sim.run(nullptr, &source);
   expect_datasets_identical(full, resumed);
+}
+
+// The log reproduces the run from every restore point: resuming after each
+// day of a small run finishes bit-identical to the uninterrupted run and
+// re-records the same records. The window runs through the lockdown
+// (week 13), past every phase change: homes finalize and the KPI window
+// opens on day 21, the interconnect calibrates on day 28, and refuges are
+// appended from the lockdown on.
+void expect_every_day_resumes(ScenarioConfig config) {
+  config.num_users = 300;
+  config.last_week = 14;
+  config.user_chunk = 64;
+  config.worker_threads = 2;
+  MemoryCheckpoint recorder;
+  const Dataset full = Simulator{config}.run(nullptr, &recorder);
+  const auto& saved = recorder.saved();
+  ASSERT_EQ(saved.size(),
+            static_cast<std::size_t>(config.last_day() - config.first_day() + 1));
+  for (std::size_t k = 0; k + 1 < saved.size(); ++k) {
+    SCOPED_TRACE("resumed after day " + std::to_string(saved[k].first));
+    MemoryCheckpoint source;
+    source.prime(recorder, k);
+    const Dataset resumed = Simulator{config}.run(nullptr, &source);
+    expect_datasets_identical(full, resumed);
+    ASSERT_EQ(source.saved().size(), saved.size() - k - 1);
+    for (std::size_t i = 0; i < source.saved().size(); ++i)
+      ASSERT_EQ(source.saved()[i].second, saved[k + 1 + i].second)
+          << "record for day " << source.saved()[i].first;
+  }
+}
+
+TEST(CheckpointResume, EveryDayOfTheLogResumesBitIdentical) {
+  expect_every_day_resumes(default_scenario());
+}
+
+TEST(CheckpointResume, EveryDayOfAFaultedLogResumesBitIdentical) {
+  ScenarioConfig config = default_scenario();
+  config.seed = 4243;
+  config.faults.signaling_outages_per_week = 1.0;
+  config.faults.signaling_outage_mean_hours = 6.0;
+  config.faults.observation_loss_rate = 0.05;
+  config.faults.kpi_record_loss_rate = 0.05;
+  config.faults.kpi_record_duplication_rate = 0.005;
+  expect_every_day_resumes(config);
 }
 
 // checkpoint-consistency (audit/laws.h) only exists for resumed runs: the

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -304,6 +305,174 @@ TEST_F(StoreCorruption, CheckpointSurvivesEveryCorruption) {
   EXPECT_FALSE(std::filesystem::exists(path));
   CheckpointManager fresh{dir, "digest-a"};
   EXPECT_TRUE(fresh.resume_payload().empty());
+}
+
+// The day log: five records of distinct lengths for days 10-14. Damage
+// costs only the record it touches and the records after it.
+class CheckpointLog : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    for (std::uint8_t k = 0; k < 5; ++k)
+      records_.emplace_back(3 + 7 * k, static_cast<std::uint8_t>(k + 1));
+    write_log();
+    // Header: magic, version, digest length, "digest-a"; then each record
+    // frames its payload with 16 bytes before and 4 after.
+    std::uint64_t end = 12 + 8;
+    for (const auto& record : records_) ends_.push_back(end += 20 + record.size());
+    ASSERT_EQ(std::filesystem::file_size(path_), ends_.back());
+  }
+
+  void write_log() const {
+    CheckpointManager writer{dir_, "digest-a"};
+    for (std::size_t k = 0; k < records_.size(); ++k)
+      writer.on_day_complete(static_cast<SimDay>(10 + k), records_[k]);
+  }
+
+  // The manager resumes from records 0..`whole` - 1, or fresh at 0.
+  void expect_resumes_through(std::size_t whole) const {
+    CheckpointManager m{dir_, "digest-a"};
+    if (whole == 0) {
+      EXPECT_TRUE(m.resume_payload().empty());
+      return;
+    }
+    std::vector<std::uint8_t> log;
+    for (std::size_t k = 0; k < whole; ++k)
+      log.insert(log.end(), records_[k].begin(), records_[k].end());
+    EXPECT_EQ(m.resume_day(), static_cast<SimDay>(10 + whole - 1));
+    EXPECT_EQ(std::vector<std::uint8_t>(m.resume_payload().begin(),
+                                        m.resume_payload().end()),
+              log);
+  }
+
+  // Overwrites the u64 at `offset` (little-endian).
+  void patch_u64(std::uint64_t offset, std::uint64_t value) const {
+    std::fstream file{path_, std::ios::in | std::ios::out | std::ios::binary};
+    file.seekp(static_cast<std::streamoff>(offset));
+    for (int i = 0; i < 8; ++i) file.put(static_cast<char>(value >> (8 * i)));
+    ASSERT_TRUE(file.good());
+  }
+
+  // One directory per test: ctest runs them as concurrent processes.
+  const std::string dir_ =
+      ::testing::TempDir() + "cellstore_checkpoint_log_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string path_ = dir_ + "/checkpoint.ckpt";
+  std::vector<std::vector<std::uint8_t>> records_;
+  std::vector<std::uint64_t> ends_;  // file offset past each record
+};
+
+TEST_F(CheckpointLog, TruncationResumesFromLastWholeRecord) {
+  expect_resumes_through(5);
+  for (std::uint64_t cut = 0; cut < ends_.back(); ++cut) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    write_log();
+    std::filesystem::resize_file(path_, cut);
+    std::size_t whole = 0;
+    while (whole < ends_.size() && ends_[whole] <= cut) ++whole;
+    expect_resumes_through(whole);
+  }
+}
+
+TEST_F(CheckpointLog, FlippedByteResumesFromRecordBefore) {
+  for (std::size_t k = 0; k < ends_.size(); ++k) {
+    const std::uint64_t start = k == 0 ? 20 : ends_[k - 1];
+    // The day, the length, the payload and the CRC of record k.
+    for (const std::uint64_t offset :
+         {start, start + 8, start + 16, ends_[k] - 1}) {
+      SCOPED_TRACE("offset " + std::to_string(offset));
+      write_log();
+      flip_byte(path_, offset);
+      expect_resumes_through(k);
+    }
+  }
+}
+
+TEST_F(CheckpointLog, AppendAfterTornTailReadsBackWhole) {
+  std::filesystem::resize_file(path_, ends_[2] + 5);  // record 3 torn
+  {
+    CheckpointManager m{dir_, "digest-a"};
+    ASSERT_EQ(m.resume_day(), 12);
+    m.on_day_complete(13, records_[3]);
+    EXPECT_TRUE(m.resume_payload().empty()) << "payload kept after a save";
+    m.on_day_complete(14, records_[4]);
+  }
+  EXPECT_EQ(std::filesystem::file_size(path_), ends_.back());
+  expect_resumes_through(5);
+
+  // A record that does not follow the last day starts a new log.
+  { CheckpointManager{dir_, "digest-a"}.on_day_complete(10, records_[0]); }
+  expect_resumes_through(1);
+  { CheckpointManager{dir_, "digest-a"}.on_day_complete(12, records_[0]); }
+  CheckpointManager m{dir_, "digest-a"};
+  EXPECT_EQ(m.resume_day(), 12);
+  EXPECT_EQ(m.resume_payload().size(), records_[0].size());
+}
+
+// A crafted length in the second record — one that wraps an added-up
+// bound, or one byte more than the file holds — ends the log there. For
+// the length 2^64-1, whose wrapped bound would place the CRC at the byte
+// before the payload, the days and the payload are chosen so that CRC
+// matches, as a crafted file would: only the length check stands between
+// the record and a read far out of bounds.
+TEST_F(CheckpointLog, CraftedLengthResumesFromFirstRecord) {
+  const auto crc_from = [](SimDay day) {
+    std::vector<std::uint8_t> head;
+    put_u64(head, static_cast<std::uint64_t>(std::int64_t{day}));
+    head.insert(head.end(), 7, 0xff);  // the length's low seven bytes
+    return crc32c(head.data(), head.size());
+  };
+  SimDay first = 0;
+  while ((crc_from(first + 1) & 0xff) != 0xff) ++first;
+  const std::uint32_t crc = crc_from(first + 1);
+  records_[1] = {static_cast<std::uint8_t>(crc >> 8),
+                 static_cast<std::uint8_t>(crc >> 16),
+                 static_cast<std::uint8_t>(crc >> 24), 0, 0, 0, 0, 0, 0, 0};
+  const auto write_two = [&] {
+    std::filesystem::remove(path_);
+    CheckpointManager writer{dir_, "digest-a"};
+    writer.on_day_complete(first, records_[0]);
+    writer.on_day_complete(first + 1, records_[1]);
+  };
+  write_two();
+  const std::uint64_t length_at = ends_[0] + 8;
+  const std::uint64_t remaining =
+      std::filesystem::file_size(path_) - (length_at + 8);
+  for (const std::uint64_t length :
+       {~std::uint64_t{0}, ~std::uint64_t{0} - 3, remaining - 3}) {
+    SCOPED_TRACE("length " + std::to_string(length));
+    write_two();
+    patch_u64(length_at, length);
+    std::optional<CheckpointManager> m;
+    ASSERT_NO_THROW(m.emplace(dir_, "digest-a"));
+    EXPECT_EQ(m->resume_day(), first);
+    EXPECT_EQ(std::vector<std::uint8_t>(m->resume_payload().begin(),
+                                        m->resume_payload().end()),
+              records_[0]);
+  }
+}
+
+TEST_F(CheckpointLog, ForeignOldAndGarbageFilesReadAsFresh) {
+  EXPECT_TRUE(CheckpointManager(dir_, "digest-b").resume_payload().empty());
+
+  // The previous format: one whole-state record, CRC'd as a whole.
+  std::vector<std::uint8_t> old;
+  put_u32(old, 0x54504b43);  // "CKPT"
+  put_u32(old, 1);
+  put_u32(old, 8);
+  for (const char c : std::string{"digest-a"})
+    old.push_back(static_cast<std::uint8_t>(c));
+  put_u64(old, 41);
+  put_u64(old, records_[4].size());
+  old.insert(old.end(), records_[4].begin(), records_[4].end());
+  put_u32(old, crc32c(old.data(), old.size()));
+  write_file_atomic(path_, old.data(), old.size());
+  expect_resumes_through(0);
+
+  std::ofstream{path_, std::ios::binary | std::ios::trunc}
+      << "not a checkpoint";
+  expect_resumes_through(0);
 }
 
 TEST_F(StoreCorruption, MissingManifestReportsMissing) {

@@ -1,12 +1,14 @@
 // Run-health timeline: the slope/steady-state estimators over synthetic
 // series, sampling mechanics (day boundaries, wall-clock fallback rate
-// limit), the tracked-byte subsystem counters, CSV/JSON export shape and
-// the disabled-is-inert contract.
+// limit), the tracked-byte subsystem counters (a checkpointed run's
+// sim_bytes included), CSV/JSON export shape and the disabled-is-inert
+// contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/runtime.h"
 #include "obs/timeline.h"
+#include "sim/simulator.h"
 
 namespace cellscope::obs {
 namespace {
@@ -100,6 +103,34 @@ TEST_F(TimelineTest, TrackedBytesAccumulatePerSubsystemAndReset) {
   EXPECT_STREQ(subsystem_name(Subsystem::kSim), "sim");
   EXPECT_STREQ(subsystem_name(Subsystem::kStore), "store");
   EXPECT_STREQ(subsystem_name(Subsystem::kAnalysis), "analysis");
+}
+
+// sim_bytes counts the KPI rows the simulator retains. A checkpoint record
+// is handed to the sink and freed the same day, so it adds nothing.
+TEST_F(TimelineTest, SimBytesCountRetainedKpiRowsOnly) {
+  class InMemoryCheckpoint final : public sim::CheckpointSink {
+   public:
+    [[nodiscard]] std::span<const std::uint8_t> resume_payload()
+        const override {
+      return {};
+    }
+    [[nodiscard]] SimDay resume_day() const override { return -1; }
+    void on_day_complete(SimDay,
+                         const std::vector<std::uint8_t>& state) override {
+      log.insert(log.end(), state.begin(), state.end());
+    }
+    std::vector<std::uint8_t> log;
+  };
+  sim::ScenarioConfig config = sim::default_scenario();
+  config.num_users = 300;
+  config.last_week = 10;
+  InMemoryCheckpoint checkpoint;
+  set_enabled(true);
+  const sim::Dataset ds = sim::Simulator{config}.run(nullptr, &checkpoint);
+  ASSERT_FALSE(checkpoint.log.empty());
+  ASSERT_FALSE(ds.kpis.records().empty());
+  EXPECT_EQ(tracked_bytes(Subsystem::kSim),
+            ds.kpis.records().size() * sizeof(telemetry::CellDayRecord));
 }
 
 TEST_F(TimelineTest, DisabledTimelineIsInert) {
