@@ -152,13 +152,35 @@ Summary summarize(std::span<const double> sample) {
   s.mean = mean(sample);
   std::vector<double> scratch = finite_scratch(sample);
   if (scratch.empty()) return s;
-  std::sort(scratch.begin(), scratch.end());
+  // Exact selection instead of a full sort. The order statistics are
+  // requested in ascending position, so each selection partitions only the
+  // suffix above the previous one: afterwards scratch[0, selected) holds
+  // the `selected` smallest values, every position asked for so far in its
+  // sorted place. Equal values are bit-identical except for the sign of a
+  // zero, and the interpolation below returns +0.0 whenever its low value
+  // is a zero of either sign, so the Summary matches a sort's bit for bit.
+  const std::size_t last = scratch.size() - 1;
+  std::size_t selected = 0;
+  const auto order_statistic = [&](std::size_t k) {
+    const auto first = scratch.begin() + static_cast<std::ptrdiff_t>(selected);
+    const auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(k);
+    if (k == selected) {
+      std::iter_swap(nth, std::min_element(first, scratch.end()));
+      selected = k + 1;
+    } else if (k > selected) {
+      std::nth_element(first, nth, scratch.end());
+      selected = k + 1;
+    }
+    return *nth;
+  };
   const auto at = [&](double q) {
-    const double pos = q * static_cast<double>(scratch.size() - 1);
+    const double pos = q * static_cast<double>(last);
     const auto lo = static_cast<std::size_t>(pos);
-    const auto hi = std::min(lo + 1, scratch.size() - 1);
+    const auto hi = std::min(lo + 1, last);
     const double frac = pos - static_cast<double>(lo);
-    return scratch[lo] + (scratch[hi] - scratch[lo]) * frac;
+    const double lo_value = order_statistic(lo);
+    const double hi_value = order_statistic(hi);
+    return lo_value + (hi_value - lo_value) * frac;
   };
   s.p10 = at(0.10);
   s.p25 = at(0.25);

@@ -14,9 +14,9 @@ LteScheduler::LteScheduler(const SchedulerParams& params) : params_(params) {}
 
 CellHourKpi LteScheduler::schedule_hour(const Cell& cell,
                                         const CellHourLoad& load,
-                                        double interconnect_dl_loss_pct) const {
+                                        double interconnect_dl_loss_pct,
+                                        SchedulerCounters* counters) const {
   CellHourKpi kpi;
-  ++hours_scheduled_;
 
   // Mbit/s of usable capacity -> MB deliverable in one hour.
   const double dl_cap_mb = cell.dl_capacity_mbps * params_.capacity_efficiency *
@@ -31,7 +31,10 @@ CellHourKpi LteScheduler::schedule_hour(const Cell& cell,
   // Data bearers get the remaining capacity.
   const double dl_for_data = std::max(0.0, dl_cap_mb - load.voice_dl_mb);
   const double ul_for_data = std::max(0.0, ul_cap_mb - load.voice_ul_mb);
-  if (load.offered_dl_mb > dl_for_data) ++hours_dl_saturated_;
+  if (counters != nullptr) {
+    ++counters->hours_scheduled;
+    if (load.offered_dl_mb > dl_for_data) ++counters->hours_dl_saturated;
+  }
   kpi.data_dl_mb = std::min(load.offered_dl_mb, dl_for_data);
   kpi.data_ul_mb = std::min(load.offered_ul_mb, ul_for_data);
   kpi.dl_volume_mb = kpi.data_dl_mb + load.voice_dl_mb;

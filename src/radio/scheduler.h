@@ -92,33 +92,38 @@ struct SchedulerParams {
   double load_loss_slope_pct = 25.0;
 };
 
+// Observability: cell-hours scheduled and cell-hours whose offered DL
+// demand exceeded capacity and was clipped. Integer totals, so counts kept
+// per chunk of cells sum to the same value in any order; the simulator
+// publishes them into the metrics registry.
+struct SchedulerCounters {
+  std::uint64_t hours_scheduled = 0;
+  std::uint64_t hours_dl_saturated = 0;
+
+  SchedulerCounters& operator+=(const SchedulerCounters& other) {
+    hours_scheduled += other.hours_scheduled;
+    hours_dl_saturated += other.hours_dl_saturated;
+    return *this;
+  }
+};
+
+// Stateless beyond its parameters, so one scheduler serves every thread.
 class LteScheduler {
  public:
   explicit LteScheduler(const SchedulerParams& params = {});
 
   // `interconnect_dl_loss_pct` is the current loss on the inter-MNO voice
   // trunks (applies to the off-net share of DL voice only; Section 4.2).
+  // A non-null `counters` counts the call; each thread passes its own.
   [[nodiscard]] CellHourKpi schedule_hour(
       const Cell& cell, const CellHourLoad& load,
-      double interconnect_dl_loss_pct) const;
+      double interconnect_dl_loss_pct,
+      SchedulerCounters* counters = nullptr) const;
 
   [[nodiscard]] const SchedulerParams& params() const { return params_; }
 
-  // Observability: cell-hours scheduled (all calls) and cell-hours whose
-  // offered DL demand exceeded capacity and was clipped. The simulator
-  // publishes these into the metrics registry; not thread-safe — each
-  // serial scheduling context owns its scheduler.
-  [[nodiscard]] std::uint64_t hours_scheduled() const {
-    return hours_scheduled_;
-  }
-  [[nodiscard]] std::uint64_t hours_dl_saturated() const {
-    return hours_dl_saturated_;
-  }
-
  private:
   SchedulerParams params_;
-  mutable std::uint64_t hours_scheduled_ = 0;
-  mutable std::uint64_t hours_dl_saturated_ = 0;
 };
 
 }  // namespace cellscope::radio

@@ -25,11 +25,18 @@
 // create/join of the previous engine is gone. With a single worker the
 // pool spawns no threads at all and run() executes work+reduce inline, in
 // the same chunk order — the serial reference path.
+//
+// A throw from `work` or `reduce` ends the job: no chunk after the failed
+// one starts, reduce is never called for it or any later chunk, and run()
+// rethrows on the caller once every started chunk's work has returned —
+// the lowest failed chunk's exception when several throw. The pool then
+// runs its next job normally.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -95,7 +102,8 @@ class WorkerPool {
 
   // Fans `ceil(n_items / chunk_size)` chunks out over the workers and
   // reduces them in chunk order on this thread; returns when every chunk
-  // has been worked *and* reduced. Serial-phase only (one run at a time).
+  // has been worked *and* reduced, or rethrows a failed chunk's exception
+  // (see the header comment). Serial-phase only (one run at a time).
   void run(std::size_t n_items, std::size_t chunk_size, const WorkFn& work,
            const ReduceFn& reduce);
 
@@ -129,6 +137,12 @@ class WorkerPool {
   std::size_t chunk_size_ = 1;
   std::size_t reduced_ = 0;           // chunks already reduced (window base)
   std::vector<std::uint8_t> done_;    // per-slot completion flags
+  std::vector<std::exception_ptr> errors_;  // per-slot work failure
+  // Lowest chunk whose work or reduce threw (kNoFailure while none did): no
+  // chunk above it starts, and no new chunk is claimed.
+  static constexpr std::size_t kNoFailure = ~std::size_t{0};
+  std::size_t failed_chunk_ = kNoFailure;
+  std::size_t busy_ = 0;              // workers inside work() right now
   const WorkFn* work_ = nullptr;
   std::vector<std::uint64_t> chunks_per_worker_;
 

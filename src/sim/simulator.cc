@@ -7,15 +7,15 @@
 #include <vector>
 
 #include "analysis/mobility_metrics.h"
-#include "audit/laws.h"
 #include "obs/runtime.h"
 #include "sim/dataset_audit.h"
 #include "sim/dataset_codec.h"
 #include "mobility/place.h"
 #include "mobility/relocation.h"
 #include "mobility/trajectory.h"
-#include "radio/scheduler.h"
 #include "sim/interrupt.h"
+#include "sim/kpi_day_closer.h"
+#include "sim/phases.h"
 #include "sim/pool.h"
 #include "sim/run_state.h"
 #include "sim/supervisor.h"
@@ -194,15 +194,12 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   const radio::RadioTopology& topology = *ds.topology;
   const mobility::PolicyTimeline& policy = *ds.policy;
 
-  mobility::PlacesBuilder places_builder{geography};
   mobility::TrajectoryGenerator trajectories{geography, policy,
                                              config_.behavior};
   mobility::RelocationModel relocation{geography, policy, config_.relocation};
   traffic::DemandModel demand_model{policy, config_.demand};
   traffic::VoiceModel voice_model{policy, config_.voice};
-  traffic::VoiceInterconnect interconnect{config_.interconnect};
   traffic::SignalingGenerator signaling_gen{config_.signaling};
-  radio::LteScheduler scheduler;
 
   const SimDay first_day = config_.first_day();
   const SimDay last_day = config_.last_day();
@@ -217,17 +214,15 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
                        topology.cells().size());
   const bool faults_on = fault_plan.enabled();
 
-  // In-process conservation audit: per-day KPI checks as days close, the
-  // whole-run laws after the final merge. Read-only over finished
-  // structures — it cannot perturb the run (test_determinism compares an
-  // audited run to an unaudited one bit for bit).
+  // In-process conservation audit: per-day KPI checks as days close (the
+  // KpiDayCloser), the whole-run laws after the final merge. Read-only over
+  // finished structures — it cannot perturb the run (test_determinism
+  // compares an audited run to an unaudited one bit for bit).
   const bool audit_on = config_.audit;
-  analysis::CellGrouping audit_partition;
-  audit::MetricBounds audit_bounds;
-  if (audit_on) {
-    audit_partition = audit::region_partition(topology);
-    audit_bounds = audit::bounds_for(topology);
-  }
+
+  // One pool per run: worker threads are created here and parked between
+  // phases — the set-up, every day's users and the day closes share them.
+  WorkerPool pool{config_.worker_threads};
 
   // Home detection runs over the warm-up and closes when week 9 opens, so
   // that the Fig 7 matrix can track detected residents from the baseline
@@ -240,13 +235,10 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   // Per-user structures. The run-local evolving state lives in RunState,
   // which the checkpoint records carry; the rest regrows from the config.
   const std::size_t n_users = subscribers.size();
-  std::vector<mobility::UserPlaces> generated_places(n_users);
+  std::vector<mobility::UserPlaces> generated_places;
   {
     const auto span = tracer.span("setup.places", "setup");
-    for (std::size_t i = 0; i < n_users; ++i) {
-      Rng user_rng = root.fork("user-places", i);
-      generated_places[i] = places_builder.build(subscribers[i], user_rng);
-    }
+    generated_places = build_user_places(pool, geography, subscribers, root);
   }
   RunState run_state{std::move(generated_places), home_params};
   std::vector<mobility::UserState>& user_states = run_state.user_states;
@@ -266,14 +258,9 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
 
   const auto inner_london = geography.county_by_name("Inner London");
 
-  // KPI plumbing.
+  // KPI plumbing: the per-user reduction fills the closer's day load.
   const std::size_t n_cells = topology.cells().size();
-  telemetry::KpiAggregator kpi_aggregator{n_cells, config_.kpi_reduction};
-  // [cell][hour] offered load for the current day; app_limited_dl_mbps
-  // accumulates rate*seconds here and is normalized before scheduling.
-  std::vector<radio::CellHourLoad> hour_loads(n_cells * kHoursPerDay);
-  std::array<double, kHoursPerDay> offnet_minutes{};
-  std::array<std::uint64_t, kHoursPerDay> voice_attempts_hour{};
+  KpiDayCloser kpi_closer{config_, topology, fault_plan, pool};
 
   // ---------------------------------------------------- parallel engine
   // The per-user day simulation is embarrassingly parallel: every mutable
@@ -340,9 +327,6 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     std::vector<traffic::CellStay> cell_stays;  // scratch
   };
 
-  // One pool per run: worker threads are created here and parked between
-  // days — the per-day thread create/join of the previous engine is gone.
-  WorkerPool pool{config_.worker_threads};
   const auto chunk_size = static_cast<std::size_t>(config_.user_chunk);
   const std::size_t n_chunks = (n_users + chunk_size - 1) / chunk_size;
   std::vector<ChunkBuf> chunk_bufs(pool.window());
@@ -367,9 +351,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     // Derived state the log does not carry: the interconnect's capacity
     // (a pure function of the calibration scalar) and the London tracking
     // flags (a pure function of the restored, bounds-checked homes).
-    if (run_state.interconnect_calibrated)
-      interconnect.calibrate(
-          std::max(run_state.week9_busy_hour_minutes, 1.0));
+    kpi_closer.restore(run_state);
     if (run_state.homes_finalized && inner_london) {
       for (const auto& home : ds.homes)
         if (home.home_county == *inner_london)
@@ -427,7 +409,8 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     }
 
     const bool kpi_day = config_.collect_kpis && day >= kpi_first_day;
-    if (kpi_day) kpi_aggregator.begin_day(day);
+    if (kpi_day) kpi_closer.begin_day(day);
+    KpiDayCloser::DayLoad& day_load = kpi_closer.day_load();
 
     const bool collect_homes = !run_state.homes_finalized;
     const bool track_matrix = ds.london_matrix != nullptr;
@@ -442,12 +425,6 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     std::uint64_t obs_observed_today = 0;
     std::uint64_t sig_forwarded_today = 0;
     std::uint64_t sig_dropped_today = 0;
-    if (kpi_day) {
-      std::fill(hour_loads.begin(), hour_loads.end(),
-                radio::CellHourLoad{});
-      offnet_minutes.fill(0.0);
-      voice_attempts_hour.fill(0);
-    }
     // Hour filtering only matters on days with an actual outage window.
     const bool sig_out_today =
         faults_on && fault_plan.signaling_down_hours(day) > 0;
@@ -786,17 +763,16 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       b.matrix_obs.clear();
       if (kpi_day) {
         for (const auto load_index : b.dirty) {
-          radio::merge_load(hour_loads[load_index], b.loads[load_index]);
+          radio::merge_load(day_load.cell_hours[load_index],
+                            b.loads[load_index]);
           b.loads[load_index] = radio::CellHourLoad{};
         }
         b.dirty.clear();
-        for (int h = 0; h < kHoursPerDay; ++h)
-          offnet_minutes[static_cast<std::size_t>(h)] +=
-              b.offnet[static_cast<std::size_t>(h)];
+        for (std::size_t h = 0; h < kHoursPerDay; ++h)
+          day_load.offnet_minutes[h] += b.offnet[h];
         b.offnet.fill(0.0);
-        for (int h = 0; h < kHoursPerDay; ++h)
-          voice_attempts_hour[static_cast<std::size_t>(h)] +=
-              b.voice_attempts[static_cast<std::size_t>(h)];
+        for (std::size_t h = 0; h < kHoursPerDay; ++h)
+          day_load.voice_attempts[h] += b.voice_attempts[h];
         b.voice_attempts.fill(0);
       }
     };
@@ -821,166 +797,9 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
         throw;
       }
     }
-
-    // --- Serial tail: everything left after the chunk reduction. ---
-    auto apply_span = tracer.span("day.apply", "sim", day);
-    ds.roamers_active.set(day, roamers_today);
-    ds.gyration_distribution.seal_day(day);
-    ds.entropy_distribution.seal_day(day);
-
-    // Quality accounting for the signaling-derived feeds (faulted runs
-    // only; a clean run keeps the report empty and its output untouched).
-    if (faults_on) {
-      ds.quality.expect("user-observations", day, obs_expected_today);
-      ds.quality.observe("user-observations", day, obs_observed_today);
-      if (config_.collect_signaling) {
-        ds.quality.expect("signaling-events", day,
-                          sig_forwarded_today + sig_dropped_today);
-        ds.quality.observe("signaling-events", day, sig_forwarded_today);
-      }
-    }
-    apply_span.close();
-
-    // --- Schedule the day's cell-hours and reduce to daily KPIs. ---
-    if (kpi_day) {
-      const auto schedule_span = tracer.span("day.schedule", "sim", day);
-      // Interconnect: dimensioned against the first KPI week's busy hour.
-      const int calibration_week = config_.kpi_first_week;
-      const double day_busy_hour =
-          *std::max_element(offnet_minutes.begin(), offnet_minutes.end());
-      if (iso_week(day) == calibration_week) {
-        run_state.week9_busy_hour_minutes =
-            std::max(run_state.week9_busy_hour_minutes, day_busy_hour);
-      } else if (!run_state.interconnect_calibrated) {
-        interconnect.calibrate(
-            std::max(run_state.week9_busy_hour_minutes, 1.0));
-        run_state.interconnect_calibrated = true;
-      }
-
-      std::array<double, kHoursPerDay> hour_loss{};
-      for (int h = 0; h < kHoursPerDay; ++h) {
-        hour_loss[static_cast<std::size_t>(h)] =
-            run_state.interconnect_calibrated
-                ? interconnect.dl_loss_pct(day, offnet_minutes[h])
-                : interconnect.params().base_loss_pct;
-      }
-      ds.offnet_busy_hour_minutes.set(day, day_busy_hour);
-      const auto busy_hour_index = static_cast<std::size_t>(
-          std::max_element(offnet_minutes.begin(), offnet_minutes.end()) -
-          offnet_minutes.begin());
-      ds.interconnect_busy_hour_loss_pct.set(day, hour_loss[busy_hour_index]);
-
-      // Classify the day's call attempts for the voice ledger. Blocked:
-      // the off-net share of attempts in hours whose offered interconnect
-      // minutes exceed trunk capacity (turned away at setup). Dropped: the
-      // in-call casualties of the hour's trunk loss among what got through.
-      // Integer floors on already-computed quantities — no RNG, no float
-      // accumulation into any other structure — so the ledger rides along
-      // without moving a bit of the existing outputs.
-      traffic::VoiceDayCalls vday;
-      vday.day = day;
-      for (int h = 0; h < kHoursPerDay; ++h) {
-        const std::uint64_t attempts =
-            voice_attempts_hour[static_cast<std::size_t>(h)];
-        vday.attempts += attempts;
-        if (attempts == 0) continue;
-        double overflow_frac = 0.0;
-        if (run_state.interconnect_calibrated) {
-          const double cap = interconnect.capacity(day);
-          const double offered = offnet_minutes[static_cast<std::size_t>(h)];
-          if (offered > cap && offered > 0.0)
-            overflow_frac = (offered - cap) / offered;
-        }
-        const auto blocked = std::min(
-            attempts,
-            static_cast<std::uint64_t>(
-                static_cast<double>(attempts) * overflow_frac *
-                config_.voice.offnet_fraction));
-        const std::uint64_t through = attempts - blocked;
-        const auto dropped = std::min(
-            through, static_cast<std::uint64_t>(
-                         static_cast<double>(through) *
-                         hour_loss[static_cast<std::size_t>(h)] / 100.0));
-        vday.blocked += blocked;
-        vday.dropped += dropped;
-        vday.completed += through - dropped;
-      }
-      ds.voice_calls.record_day(vday);
-
-      std::uint64_t cells_scheduled = 0;
-      const auto schedule_cell = [&](CellId cell_id) {
-        ++cells_scheduled;
-        // A cell in an outage run is dark for the whole day: no hourly
-        // samples reach the aggregator, so finish_day emits no row for it.
-        if (faults_on && fault_plan.cell_out(cell_id, day)) return;
-        const radio::Cell& cell = topology.cell(cell_id);
-        for (int h = 0; h < kHoursPerDay; ++h) {
-          // Hours inside a KPI-collection outage are lost before daily
-          // aggregation (the day reduces over its surviving hours).
-          if (faults_on && fault_plan.kpi_feed_down(day, h)) continue;
-          auto& load = hour_loads[cell_id.value() * kHoursPerDay +
-                                  static_cast<std::size_t>(h)];
-          if (load.active_dl_user_seconds > 0.0)
-            load.app_limited_dl_mbps /= load.active_dl_user_seconds;
-          kpi_aggregator.record_hour(
-              cell_id, scheduler.schedule_hour(
-                           cell, load, hour_loss[static_cast<std::size_t>(h)]));
-        }
-      };
-      if (config_.collect_legacy_kpis) {
-        for (const auto& cell : topology.cells()) schedule_cell(cell.id);
-      } else {
-        for (const auto cell_id : topology.lte_cells()) schedule_cell(cell_id);
-      }
-      std::uint64_t day_rows = 0;
-      if (!faults_on) {
-        auto day_records = kpi_aggregator.finish_day();
-        if (audit_on)
-          audit::check_kpi_day(day, day_records, audit_partition,
-                               audit_bounds, ds.audit_report);
-        if (sink != nullptr && !day_records.empty())
-          sink->on_kpi_day(day, day_records);
-        day_rows = day_records.size();
-        ds.kpis.add_day(std::move(day_records));
-      } else {
-        // Warehouse-export faults: lose or duplicate whole cell-day rows.
-        auto day_records = kpi_aggregator.finish_day();
-        std::vector<telemetry::CellDayRecord> kept;
-        kept.reserve(day_records.size());
-        std::uint64_t observed = 0;
-        for (const auto& record : day_records) {
-          if (fault_plan.drop_kpi_record(record.cell.value(), day)) continue;
-          ++observed;
-          kept.push_back(record);
-          if (fault_plan.duplicate_kpi_record(record.cell.value(), day)) {
-            ds.quality.duplicate("kpi-feed");
-            kept.push_back(record);
-          }
-        }
-        ds.quality.expect("kpi-feed", day, cells_scheduled);
-        ds.quality.observe("kpi-feed", day, observed);
-        // The audit sees what the feed delivered (kept rows): conservation
-        // must hold over the degraded feed too, since a duplicated row
-        // lands on both sides of every sum.
-        if (audit_on)
-          audit::check_kpi_day(day, kept, audit_partition, audit_bounds,
-                               ds.audit_report);
-        if (sink != nullptr && !kept.empty()) sink->on_kpi_day(day, kept);
-        day_rows = kept.size();
-        ds.kpis.add_day(std::move(kept));
-      }
-      if (obs_on) {
-        registry.add(m_cells, cells_scheduled);
-        registry.add(m_kpi_rows, day_rows);
-        obs::track_bytes(obs::Subsystem::kSim,
-                         day_rows * sizeof(telemetry::CellDayRecord));
-      }
-    }
-
-    // Fold worker metric deltas into the registry at day (phase) end and
-    // account the day's wall time plus the pool's balance record.
+    // The pool's balance record for the users phase, read before the day
+    // close's fan-outs replace it.
     if (obs_on) {
-      for (auto& w : workers) registry.merge(w.metrics);
       registry.add(m_pool_chunks, n_chunks);
       const auto& per_worker = pool.chunks_per_worker();
       // "Stolen" chunks: work a worker pulled beyond the static fair share
@@ -999,6 +818,44 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       pool_imbalance_hist->record(100.0 *
                                   static_cast<double>(busiest - laziest) /
                                   static_cast<double>(n_chunks));
+    }
+
+    // --- Day tail: seal the distributions, account the feeds. ---
+    auto apply_span = tracer.span("day.apply", "sim", day);
+    ds.roamers_active.set(day, roamers_today);
+    seal_distributions(pool, ds, day);
+
+    // Quality accounting for the signaling-derived feeds (faulted runs
+    // only; a clean run keeps the report empty and its output untouched).
+    if (faults_on) {
+      ds.quality.expect("user-observations", day, obs_expected_today);
+      ds.quality.observe("user-observations", day, obs_observed_today);
+      if (config_.collect_signaling) {
+        ds.quality.expect("signaling-events", day,
+                          sig_forwarded_today + sig_dropped_today);
+        ds.quality.observe("signaling-events", day, sig_forwarded_today);
+      }
+    }
+    apply_span.close();
+
+    // --- Schedule the day's cell-hours and reduce to daily KPIs. ---
+    if (kpi_day) {
+      const auto schedule_span = tracer.span("day.schedule", "sim", day);
+      const std::uint64_t cells_before = kpi_closer.counters().cells_scheduled;
+      const std::uint64_t day_rows = kpi_closer.close(run_state, ds, sink);
+      if (obs_on) {
+        registry.add(m_cells,
+                     kpi_closer.counters().cells_scheduled - cells_before);
+        registry.add(m_kpi_rows, day_rows);
+        obs::track_bytes(obs::Subsystem::kSim,
+                         day_rows * sizeof(telemetry::CellDayRecord));
+      }
+    }
+
+    // Fold worker metric deltas into the registry at day (phase) end and
+    // account the day's wall time.
+    if (obs_on) {
+      for (auto& w : workers) registry.merge(w.metrics);
       day_wall_hist->record(
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - day_clock_start)
@@ -1046,13 +903,13 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   // Publish the leaf-module counters (each accumulated locally on its
   // serial path) and the run-level resource gauges.
   if (obs_on) {
-    registry.add("scheduler.hours_scheduled", scheduler.hours_scheduled());
-    registry.add("scheduler.hours_dl_saturated",
-                 scheduler.hours_dl_saturated());
+    const auto& scheduled = kpi_closer.counters().scheduler;
+    registry.add("scheduler.hours_scheduled", scheduled.hours_scheduled);
+    registry.add("scheduler.hours_dl_saturated", scheduled.hours_dl_saturated);
     registry.add("interconnect.hours_evaluated",
-                 interconnect.hours_evaluated());
+                 kpi_closer.interconnect().hours_evaluated());
     registry.add("interconnect.hours_saturated",
-                 interconnect.hours_saturated());
+                 kpi_closer.interconnect().hours_saturated());
     registry.add("probe.signaling_events", ds.signaling.events_ingested());
     registry.add("supervisor.retries", supervisor.stats().retries);
     registry.add("supervisor.failures", supervisor.stats().failures);

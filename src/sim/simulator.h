@@ -14,8 +14,11 @@
 //   4. signaling events stream into the passive probe.
 //
 // The per-user work fans out over a persistent worker pool (sim/pool.h)
-// that reduces fixed-size user chunks in index order, so the returned
-// Dataset is bit-identical for any worker_threads setting.
+// that reduces fixed-size user chunks in index order; place building, the
+// distribution seal and the KPI day close (sim/phases.h,
+// sim/kpi_day_closer.h) fan out over the same pool on fixed grids of their
+// own. The returned Dataset is bit-identical for any worker_threads
+// setting.
 //
 // The returned Dataset owns everything a bench or example reads.
 #pragma once

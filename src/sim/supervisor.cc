@@ -39,10 +39,10 @@ void Supervisor::run(SimDay day, std::size_t n_items, std::size_t chunk_size,
         completed.fetch_add(1, std::memory_order_relaxed);
         return;
       } catch (const std::exception& e) {
-        // Never let the exception reach the pool's worker loop: it has no
-        // handler and would std::terminate the process. Contain, reset,
-        // retry — and on exhaustion flag the run as failed; the chunk's
-        // buffer stays reset, so the reducer folds in a no-op.
+        // Never let the exception reach the pool: it would end the job at
+        // this chunk. Contain, reset, retry — and on exhaustion flag the
+        // run as failed; the chunk's buffer stays reset, so the reducer
+        // folds in a no-op and the day still drains in order.
         reset(chunk, slot);
         {
           std::lock_guard<std::mutex> lock{error_mutex};

@@ -8,8 +8,9 @@
 //     supplies the reset, restoring the chunk's pre-work state) and is
 //     re-executed in place with bounded exponential backoff;
 //   * failure containment — when a chunk exhausts its attempts the run
-//     finishes draining, then DayFailed is thrown from the CALLER thread
-//     (a worker thread must never propagate: the pool would terminate).
+//     finishes draining, then DayFailed is thrown from the CALLER thread.
+//     The supervised work never throws into the pool: a pool that saw a
+//     throw would end the job at that chunk and skip the later reductions.
 //     The day is thereby failed-and-resumable: the previous day's
 //     checkpoint is intact, so a rerun resumes right before the bad day;
 //   * a watchdog thread — if no chunk completes within `stall_deadline`

@@ -310,8 +310,12 @@ void FeedFileReader::validate(const std::string& path) {
     error_ = path + ": footer checksum mismatch";
     return;
   }
+  // Every length below comes from the file, so bounds compare by division
+  // and subtraction: a crafted count, offset or length cannot wrap a sum
+  // back into range.
   const std::uint64_t shard_count = read_u64(body);
-  if (8 + shard_count * kFooterEntryBytes != body_len) {
+  if ((body_len - 8) % kFooterEntryBytes != 0 ||
+      shard_count != (body_len - 8) / kFooterEntryBytes) {
     error_ = path + ": footer entry count inconsistent";
     return;
   }
@@ -337,7 +341,7 @@ void FeedFileReader::validate(const std::string& path) {
     };
 
     if (entry.offset < kFileHeaderBytes || entry.length < kShardHeaderBytes ||
-        entry.offset + entry.length > data_end) {
+        entry.offset > data_end || entry.length > data_end - entry.offset) {
       quarantine("offset/length outside file data region");
       continue;
     }
@@ -381,7 +385,7 @@ void FeedFileReader::validate(const std::string& path) {
       }
       column.encoding = static_cast<Encoding>(encoding);
       column.bytes = read_u64(d + 8);
-      if (payload_offset + column.bytes > entry.length) {
+      if (column.bytes > entry.length - payload_offset) {
         ok = false;
         break;
       }

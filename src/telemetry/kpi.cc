@@ -41,7 +41,8 @@ void KpiAggregator::begin_day(SimDay day) {
     throw std::logic_error("KpiAggregator: previous day not finished");
   day_ = day;
   day_open_ = true;
-  std::fill(samples_.begin(), samples_.end(), 0.0);
+  // A cell's samples are read only up to its recorded hours, so resetting
+  // the counts is enough; stale samples beyond them are never seen.
   std::fill(hours_recorded_.begin(), hours_recorded_.end(), 0);
 }
 
@@ -64,16 +65,14 @@ void KpiAggregator::record_hour(CellId cell, const radio::CellHourKpi& kpi) {
   ++hours_recorded_[c];
 }
 
-std::vector<CellDayRecord> KpiAggregator::finish_day() {
+void KpiAggregator::reduce_cells(std::size_t first, std::size_t end,
+                                 std::vector<CellDayRecord>& rows) const {
   if (!day_open_)
     throw std::logic_error("KpiAggregator: no day in progress");
-  day_open_ = false;
-
-  std::vector<CellDayRecord> rows;
-  rows.reserve(cell_count_);
-  for (std::size_t c = 0; c < cell_count_; ++c) {
+  end = std::min(end, cell_count_);
+  for (std::size_t c = first; c < end; ++c) {
     const int n = hours_recorded_[c];
-    if (n == 0) continue;  // cell not monitored today (e.g. legacy RAT)
+    if (n == 0) continue;
     CellDayRecord row;
     row.cell = CellId{static_cast<std::uint32_t>(c)};
     row.day = day_;
@@ -86,6 +85,19 @@ std::vector<CellDayRecord> KpiAggregator::finish_day() {
     }
     rows.push_back(row);
   }
+}
+
+void KpiAggregator::end_day() {
+  if (!day_open_)
+    throw std::logic_error("KpiAggregator: no day in progress");
+  day_open_ = false;
+}
+
+std::vector<CellDayRecord> KpiAggregator::finish_day() {
+  std::vector<CellDayRecord> rows;
+  rows.reserve(cell_count_);
+  reduce_cells(0, cell_count_, rows);
+  end_day();
   return rows;
 }
 

@@ -80,9 +80,18 @@ class KpiAggregator {
                 DailyReduction reduction = DailyReduction::kMedian);
 
   void begin_day(SimDay day);
+  // Writes only `cell`'s samples, so distinct cells may record and reduce
+  // concurrently.
   void record_hour(CellId cell, const radio::CellHourKpi& kpi);
-  // Reduces the day's 24 hourly samples per cell to one CellDayRecord each.
-  // Cells with no recorded hours produce all-zero rows (idle rural cells).
+  // Reduces the open day's hourly samples of cells [first, end) to one
+  // CellDayRecord each, appended to `rows` in cell order. Cells with no
+  // recorded hours produce no row (not monitored today, e.g. legacy RATs).
+  // Reads only those cells, so disjoint ranges may reduce concurrently.
+  void reduce_cells(std::size_t first, std::size_t end,
+                    std::vector<CellDayRecord>& rows) const;
+  // Closes the open day, once its cells are reduced.
+  void end_day();
+  // reduce_cells over every cell, then end_day.
   [[nodiscard]] std::vector<CellDayRecord> finish_day();
 
  private:

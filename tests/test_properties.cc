@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -310,6 +313,74 @@ TEST_P(WorkerPoolPropertyTest, ReducesEveryChunkInOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, WorkerPoolPropertyTest,
                          ::testing::Values(1, 2, 3, 8));
+
+// A throw ends the pool's job at the failed chunk: run() rethrows on the
+// caller only after every started work() has returned, chunks below the
+// failure were reduced in order, the failed chunk and every later one were
+// not, and the same pool then runs a clean job. Covers a throw from work
+// (from every chunk at or above k, so the lowest one's must win) and from
+// reduce. Runs under the TSan CI job.
+class WorkerPoolFailurePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(WorkerPoolFailurePropertyTest, RethrowsAfterEveryStartedChunkReturns) {
+  constexpr std::size_t kItems = 1'003;
+  constexpr std::size_t kChunk = 17;
+  const std::size_t n_chunks = (kItems + kChunk - 1) / kChunk;
+  sim::WorkerPool pool{GetParam()};
+  for (const bool from_reduce : {false, true}) {
+    for (const std::size_t failing : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{7}, n_chunks - 1}) {
+      SCOPED_TRACE((from_reduce ? "reduce throws at chunk " : "work throws at chunk ") +
+                   std::to_string(failing));
+      std::atomic<int> in_work{0};
+      std::vector<std::size_t> reduced;
+      std::string caught;
+      try {
+        pool.run(
+            kItems, kChunk,
+            [&](std::size_t chunk, std::size_t, std::size_t, std::size_t,
+                std::size_t) {
+              in_work.fetch_add(1);
+              // Stay inside work() for a moment so that on many workers the
+              // throw races chunks that are still running.
+              std::this_thread::yield();
+              in_work.fetch_sub(1);
+              if (!from_reduce && chunk >= failing)
+                throw std::runtime_error("chunk " + std::to_string(chunk));
+            },
+            [&](std::size_t chunk, std::size_t) {
+              if (from_reduce && chunk == failing)
+                throw std::runtime_error("chunk " + std::to_string(chunk));
+              reduced.push_back(chunk);
+            });
+      } catch (const std::runtime_error& e) {
+        caught = e.what();
+        EXPECT_EQ(in_work.load(), 0) << "run() returned with work running";
+      }
+      EXPECT_EQ(caught, "chunk " + std::to_string(failing));
+      ASSERT_EQ(reduced.size(), failing);
+      for (std::size_t c = 0; c < failing; ++c) EXPECT_EQ(reduced[c], c);
+
+      // The next job runs normally: every item once, every chunk reduced.
+      std::vector<int> item_seen(kItems, 0);
+      std::vector<std::size_t> clean_order;
+      pool.run(
+          kItems, kChunk,
+          [&](std::size_t, std::size_t, std::size_t begin, std::size_t end,
+              std::size_t) {
+            for (std::size_t i = begin; i < end; ++i) ++item_seen[i];
+          },
+          [&](std::size_t chunk, std::size_t) { clean_order.push_back(chunk); });
+      ASSERT_EQ(clean_order.size(), n_chunks);
+      for (std::size_t c = 0; c < n_chunks; ++c) EXPECT_EQ(clean_order[c], c);
+      for (std::size_t i = 0; i < kItems; ++i)
+        EXPECT_EQ(item_seen[i], 1) << "item " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, WorkerPoolFailurePropertyTest,
+                         ::testing::Values(1, 2, 4, 8));
 
 // Chunk-order merge_load folds equal a single serial fold, for ANY chunk
 // partition, when the addends are exactly representable (dyadic rationals:

@@ -1,8 +1,14 @@
 // Statistics kernel: the reductions every figure depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -212,6 +218,99 @@ TEST(Summarize, PercentilesSkipNaN) {
   EXPECT_DOUBLE_EQ(s.median, 2.0);
   EXPECT_DOUBLE_EQ(s.p10, 1.2);
   EXPECT_DOUBLE_EQ(s.p90, 2.8);
+}
+
+// The sort-based summarize that exact selection replaced, kept as the
+// reference: the same finite filter, a full sort, the same interpolation.
+Summary sorted_summary(std::span<const double> sample) {
+  Summary s;
+  s.n = sample.size();
+  if (sample.empty()) return s;
+  s.mean = mean(sample);
+  std::vector<double> scratch;
+  for (const double v : sample)
+    if (std::isfinite(v)) scratch.push_back(v);
+  if (scratch.empty()) return s;
+  std::sort(scratch.begin(), scratch.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(scratch.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const auto hi = std::min(lo + 1, scratch.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return scratch[lo] + (scratch[hi] - scratch[lo]) * frac;
+  };
+  s.p10 = at(0.10);
+  s.p25 = at(0.25);
+  s.median = at(0.50);
+  s.p75 = at(0.75);
+  s.p90 = at(0.90);
+  return s;
+}
+
+void expect_bit_identical(const Summary& want, const Summary& got,
+                          const std::string& what) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(want.n, got.n) << what;
+  EXPECT_EQ(bits(want.mean), bits(got.mean)) << what;
+  EXPECT_EQ(bits(want.p10), bits(got.p10)) << what;
+  EXPECT_EQ(bits(want.p25), bits(got.p25)) << what;
+  EXPECT_EQ(bits(want.median), bits(got.median)) << what;
+  EXPECT_EQ(bits(want.p75), bits(got.p75)) << what;
+  EXPECT_EQ(bits(want.p90), bits(got.p90)) << what;
+}
+
+// Exact selection equals the sort bit for bit on hostile samples: every
+// size from 0 to 64, then log-uniform sizes up to 70,000, drawn from
+// palettes heavy in duplicates, zeros of both signs, denormals, NaN and
+// infinities (the last two filtered), next to ordinary values.
+TEST(Summarize, SelectionMatchesSortBitForBit) {
+  std::mt19937_64 gen{20200323};
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto draw = [&](int palette) -> double {
+    std::uniform_int_distribution<int> kind(0, 9);
+    std::uniform_int_distribution<int> small(-4, 4);
+    std::normal_distribution<double> normal(0.0, 100.0);
+    switch ((kind(gen) + palette) % 10) {
+      case 0: return 0.0;
+      case 1: return -0.0;
+      case 2: return denorm * small(gen);
+      case 3: return small(gen) * 0.5;  // duplicates
+      case 4: return (gen() % 50 == 0) ? nan : small(gen);
+      case 5: return (gen() % 50 == 0) ? ((gen() & 1) ? inf : -inf) : -0.0;
+      default: return normal(gen);
+    }
+  };
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 64; ++n) sizes.push_back(n);
+  std::uniform_real_distribution<double> log_size(std::log(65.0),
+                                                  std::log(70'000.0));
+  for (int i = 0; i < 120; ++i)
+    sizes.push_back(static_cast<std::size_t>(std::exp(log_size(gen))));
+  sizes.push_back(70'000);
+
+  std::vector<double> sample;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const int palette = static_cast<int>(i % 10);
+    sample.clear();
+    for (std::size_t k = 0; k < sizes[i]; ++k) sample.push_back(draw(palette));
+    expect_bit_identical(sorted_summary(sample), summarize(sample),
+                         "size " + std::to_string(sizes[i]) + " palette " +
+                             std::to_string(palette));
+  }
+}
+
+// The signed-zero case the bit-identity argument rests on, pinned: a
+// sample of zeros of both signs summarizes to +0.0 whichever zero a
+// selection leaves in place.
+TEST(Summarize, ZerosOfEitherSignSummarizeToPositiveZero) {
+  for (const auto& v : {std::vector<double>{-0.0, 0.0, -0.0},
+                        std::vector<double>{-0.0}, std::vector<double>{0.0, -0.0}}) {
+    const Summary s = summarize(v);
+    for (const double p : {s.p10, s.p25, s.median, s.p75, s.p90})
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(p), 0u);
+  }
 }
 
 TEST(SampleBuffer, Lifecycle) {

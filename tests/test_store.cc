@@ -265,5 +265,105 @@ TEST(ShardFile, TruncatedFileReportsCorruptNotCrash) {
   EXPECT_EQ(reader.shards().size(), 0u);
 }
 
+// Crafted footers and column directories whose checksums still match: a
+// count, offset or length chosen so the reader's bound would wrap back
+// into range must be refused (kCorrupt or a quarantined shard), never
+// followed off the mapping.
+class CraftedFile {
+ public:
+  // A two-shard, two-column file: shard 0 holds rows 0-3, shard 1 rows 4-7.
+  explicit CraftedFile(const std::string& name) : path_(temp_path(name)) {
+    FeedFileWriter writer{path_, {Encoding::kVarint, Encoding::kRaw64}, 4};
+    for (int i = 0; i < 8; ++i) {
+      writer.u64(0, static_cast<std::uint64_t>(i));
+      writer.f64(1, i * 0.25);
+      writer.end_row(i);
+    }
+    writer.close();
+    std::ifstream in{path_, std::ios::binary};
+    bytes_.assign(std::istreambuf_iterator<char>{in}, {});
+  }
+
+  [[nodiscard]] std::uint64_t body_len() const { return get(tail()); }
+  [[nodiscard]] std::size_t body() const { return tail() - body_len(); }
+  // Offset of footer entry `s`: offset, length, rows, min/max day, crc.
+  [[nodiscard]] std::size_t entry(std::size_t s) const {
+    return body() + 8 + s * 48;
+  }
+  [[nodiscard]] std::uint64_t get(std::size_t at) const {
+    return read_u64(bytes_.data() + at);
+  }
+  void set(std::size_t at, std::uint64_t value) {
+    for (int b = 0; b < 8; ++b)
+      bytes_[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+  void set_u32(std::size_t at, std::uint32_t value) {
+    for (int b = 0; b < 4; ++b)
+      bytes_[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+  // Re-seals shard `s`'s CRC in its footer entry.
+  void reseal_shard(std::size_t s) {
+    const std::size_t e = entry(s);
+    set_u32(e + 40, crc32c(bytes_.data() + get(e), get(e + 8)));
+  }
+  // Re-seals the footer CRC in the tail, then writes the file back.
+  FeedFileReader reseal_and_open() {
+    set_u32(tail() + 8, crc32c(bytes_.data() + body(), body_len()));
+    std::ofstream out{path_, std::ios::binary | std::ios::trunc};
+    out.write(reinterpret_cast<const char*>(bytes_.data()),
+              static_cast<std::streamsize>(bytes_.size()));
+    out.close();
+    return FeedFileReader{path_};
+  }
+
+ private:
+  [[nodiscard]] std::size_t tail() const { return bytes_.size() - 16; }
+  std::string path_;
+  std::vector<std::uint8_t> bytes_;
+};
+
+TEST(ShardFile, WrappingFooterShardCountIsCorrupt) {
+  CraftedFile file{"wrap_count.csf"};
+  ASSERT_EQ(file.body_len(), 8u + 2 * 48);
+  // 8 + (2 + 2^60) * 48 wraps to the real body length, 104.
+  file.set(file.body(), 2 + (std::uint64_t{1} << 60));
+  const FeedFileReader reader = file.reseal_and_open();
+  EXPECT_EQ(reader.status(), FeedFileReader::Status::kCorrupt);
+  EXPECT_TRUE(reader.shards().empty());
+}
+
+TEST(ShardFile, WrappingShardOffsetPlusLengthIsQuarantined) {
+  CraftedFile file{"wrap_extent.csf"};
+  const std::size_t e = file.entry(1);
+  ASSERT_GT(file.get(e), 40u);
+  // Shard 1's offset + length wraps to 40: inside the data region by a
+  // naive sum, with a length far past the end of the file.
+  file.set(e + 8, std::uint64_t{0} - file.get(e) + 40);
+  const FeedFileReader reader = file.reseal_and_open();
+  ASSERT_EQ(reader.status(), FeedFileReader::Status::kOk) << reader.error();
+  EXPECT_EQ(reader.quarantined_shards(), 1u);
+  ASSERT_EQ(reader.shards().size(), 1u);
+  EXPECT_EQ(reader.shards()[0].min_day, 0);
+}
+
+TEST(ShardFile, WrappingColumnLengthIsQuarantined) {
+  CraftedFile file{"wrap_column.csf"};
+  const std::size_t e = file.entry(0);
+  const std::size_t shard = file.get(e);
+  const std::uint64_t length = file.get(e + 8);
+  const std::uint64_t dir_end = 32 + 2 * 16;
+  // Column 0's length wraps the running payload offset from dir_end to 1
+  // and column 1 takes the rest, so the naive sum ends exactly at the
+  // shard's length. The shard CRC is re-sealed over the crafted directory.
+  file.set(shard + 32 + 8, std::uint64_t{0} - (dir_end - 1));
+  file.set(shard + 32 + 16 + 8, length - 1);
+  file.reseal_shard(0);
+  const FeedFileReader reader = file.reseal_and_open();
+  ASSERT_EQ(reader.status(), FeedFileReader::Status::kOk) << reader.error();
+  EXPECT_EQ(reader.quarantined_shards(), 1u);
+  ASSERT_EQ(reader.shards().size(), 1u);
+  EXPECT_EQ(reader.shards()[0].min_day, 4);
+}
+
 }  // namespace
 }  // namespace cellscope::store
