@@ -1,7 +1,6 @@
 #include "common/timeseries.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -19,7 +18,11 @@ DailySeries::DailySeries(SimDay first_day, SimDay last_day)
 }
 
 std::size_t DailySeries::index(SimDay day) const {
-  assert(day >= first_day_ && day <= last_day_);
+  if (day < first_day_ || day > last_day_)
+    throw std::out_of_range("DailySeries: day " + std::to_string(day) +
+                            " outside the window [" +
+                            std::to_string(first_day_) + ", " +
+                            std::to_string(last_day_) + "]");
   return static_cast<std::size_t>(day - first_day_);
 }
 

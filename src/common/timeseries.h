@@ -22,7 +22,8 @@ class DailySeries {
   // Covers days [first_day, last_day], both inclusive.
   DailySeries(SimDay first_day, SimDay last_day);
 
-  // Overwrites the day's value.
+  // Overwrites the day's value. Throws std::out_of_range for a day outside
+  // the window, as add() does.
   void set(SimDay day, double value);
   // Accumulates; value(day) then returns the mean of everything added.
   void add(SimDay day, double value);
@@ -64,6 +65,7 @@ class DailySeries {
   void restore(SimDay day, double sum, std::size_t count);
 
  private:
+  // Throws std::out_of_range outside [first_day_, last_day_].
   [[nodiscard]] std::size_t index(SimDay day) const;
 
   SimDay first_day_ = 0;

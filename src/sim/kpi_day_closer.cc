@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/run_state.h"
@@ -18,9 +19,8 @@ KpiDayCloser::KpiDayCloser(const ScenarioConfig& config,
       faults_(faults),
       pool_(pool),
       interconnect_(config.interconnect),
-      aggregator_(topology.cells().size(), config.kpi_reduction),
+      ordinal_(topology.cells().size(), kNotCollected),
       chunks_(pool.window()) {
-  load_.cell_hours.resize(topology.cells().size() * kHoursPerDay);
   if (config_.collect_legacy_kpis) {
     for (const auto& cell : topology_.cells()) cells_.push_back(cell.id);
   } else {
@@ -32,6 +32,9 @@ KpiDayCloser::KpiDayCloser(const ScenarioConfig& config,
                            return a.value() >= b.value();
                          }) != cells_.end())
     throw std::logic_error("KpiDayCloser: cells out of id order");
+  for (std::size_t i = 0; i < cells_.size(); ++i)
+    ordinal_[cells_[i].value()] = static_cast<std::uint32_t>(i);
+  load_.cell_hours.resize(cells_.size() * kHoursPerDay);
   if (config_.audit) {
     audit_partition_ = audit::region_partition(topology_);
     audit_bounds_ = audit::bounds_for(topology_);
@@ -45,26 +48,27 @@ void KpiDayCloser::restore(const RunState& state) {
 
 void KpiDayCloser::begin_day(SimDay day) {
   day_ = day;
-  // The grid needs no reset: close() zeroes every scheduled cell's slots
-  // as it reads them, and a cell outside the schedule is never read.
+  // The grid needs no reset: close() zeroes every cell's slots as it reads
+  // them.
   load_.offnet_minutes.fill(0.0);
   load_.voice_attempts.fill(0);
-  aggregator_.begin_day(day);
 }
 
 void KpiDayCloser::schedule_cell(
-    CellId cell_id, const std::array<double, kHoursPerDay>& hour_loss,
-    radio::SchedulerCounters& counters) {
+    std::size_t ordinal, const std::array<double, kHoursPerDay>& hour_loss,
+    telemetry::CellDaySamples& samples, ChunkRows& chunk) {
+  const CellId cell_id = cells_[ordinal];
   const std::span<radio::CellHourLoad> hours{
-      load_.cell_hours.data() + cell_id.value() * kHoursPerDay, kHoursPerDay};
-  // A cell in an outage run is dark for the whole day: no hourly samples
-  // reach the aggregator, so it reduces to no row.
+      load_.cell_hours.data() + ordinal * kHoursPerDay, kHoursPerDay};
+  // A cell in an outage run is dark for the whole day: no hourly samples,
+  // so it reduces to no row.
   const bool faults_on = faults_.enabled();
   if (faults_on && faults_.cell_out(cell_id, day_)) {
     std::fill(hours.begin(), hours.end(), radio::CellHourLoad{});
     return;
   }
   const radio::Cell& cell = topology_.cell(cell_id);
+  samples.hours = 0;
   for (int h = 0; h < kHoursPerDay; ++h) {
     radio::CellHourLoad load =
         std::exchange(hours[static_cast<std::size_t>(h)], {});
@@ -73,29 +77,29 @@ void KpiDayCloser::schedule_cell(
     if (faults_on && faults_.kpi_feed_down(day_, h)) continue;
     if (load.active_dl_user_seconds > 0.0)
       load.app_limited_dl_mbps /= load.active_dl_user_seconds;
-    aggregator_.record_hour(
-        cell_id, scheduler_.schedule_hour(
-                     cell, load, hour_loss[static_cast<std::size_t>(h)],
-                     &counters));
+    samples.record(scheduler_.schedule_hour(
+        cell, load, hour_loss[static_cast<std::size_t>(h)],
+        &chunk.scheduler));
   }
+  if (samples.hours > 0)
+    chunk.rows.push_back(
+        samples.reduce(cell_id, day_, config_.kpi_reduction));
 }
 
 std::vector<telemetry::CellDayRecord> KpiDayCloser::schedule_cells(
     const std::array<double, kHoursPerDay>& hour_loss) {
   std::vector<telemetry::CellDayRecord> rows;
   rows.reserve(cells_.size());
-  // Each chunk schedules its cells, then reduces the id range they span:
-  // cells in that range outside the schedule recorded no hours and add no
-  // row, so the chunks' rows concatenate into cell order.
+  // Each chunk schedules and reduces its cells in ordinal order, so the
+  // chunks' rows concatenate into cell order.
   pool_.run(
       cells_.size(), kCellChunk,
       [&](std::size_t, std::size_t slot, std::size_t begin, std::size_t end,
           std::size_t) {
         ChunkRows& chunk = chunks_[slot];
+        telemetry::CellDaySamples samples;
         for (std::size_t i = begin; i < end; ++i)
-          schedule_cell(cells_[i], hour_loss, chunk.scheduler);
-        aggregator_.reduce_cells(cells_[begin].value(),
-                                 cells_[end - 1].value() + 1, chunk.rows);
+          schedule_cell(i, hour_loss, samples, chunk);
       },
       [&](std::size_t, std::size_t slot) {
         ChunkRows& chunk = chunks_[slot];
@@ -104,7 +108,6 @@ std::vector<telemetry::CellDayRecord> KpiDayCloser::schedule_cells(
         counters_.scheduler += chunk.scheduler;
         chunk.scheduler = {};
       });
-  aggregator_.end_day();
   counters_.cells_scheduled += cells_.size();
   return rows;
 }
@@ -197,6 +200,38 @@ std::uint64_t KpiDayCloser::close(RunState& state, Dataset& ds,
   const std::uint64_t n_rows = rows.size();
   ds.kpis.add_day(std::move(rows));
   return n_rows;
+}
+
+void ChunkLoad::size_for(std::size_t cells) {
+  clear();
+  slot_of_.assign(cells * kHoursPerDay, 0);
+  dirty_.reserve(slot_of_.size());
+  loads_.reserve(slot_of_.size());
+}
+
+void ChunkLoad::merge_into(KpiDayCloser::DayLoad& day) {
+  if (day.cell_hours.size() != slot_of_.size())
+    throw std::logic_error("ChunkLoad: day load covers other cells");
+  for (std::size_t k = 0; k < dirty_.size(); ++k)
+    radio::merge_load(day.cell_hours[dirty_[k]], loads_[k]);
+  for (std::size_t h = 0; h < kHoursPerDay; ++h) {
+    day.offnet_minutes[h] += offnet_minutes[h];
+    day.voice_attempts[h] += voice_attempts[h];
+  }
+  clear();
+}
+
+void ChunkLoad::clear() {
+  for (const std::uint32_t slot : dirty_) slot_of_[slot] = 0;
+  dirty_.clear();
+  loads_.clear();
+  offnet_minutes.fill(0.0);
+  voice_attempts.fill(0);
+}
+
+void ChunkLoad::refuse(std::uint32_t ordinal) {
+  throw std::logic_error("ChunkLoad: ordinal " + std::to_string(ordinal) +
+                         " is not a collected cell of the slot map");
 }
 
 }  // namespace cellscope::sim

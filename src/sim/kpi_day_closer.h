@@ -1,8 +1,14 @@
 // The KPI day close: everything between a KPI day's per-user reduction and
 // its rows entering the Dataset.
 //
-// The simulator's per-user reduction fills the day's offered load
-// (day_load()) between begin_day() and close(). close() then, in order:
+// A KPI day collects the LTE cells, or every cell under
+// collect_legacy_kpis. The closer numbers those cells densely in ascending
+// id order (ordinal()), and the day's load is indexed by that ordinal, so
+// no load state is sized for a cell the day never collects.
+//
+// The simulator's per-user reduction folds each user chunk's ChunkLoad
+// into the day's offered load (day_load()) between begin_day() and
+// close(). close() then, in order:
 //   1. dimensions the voice interconnect against the first KPI week's busy
 //      hour, or evaluates its per-hour trunk loss;
 //   2. classifies the day's call attempts into the voice ledger;
@@ -13,8 +19,9 @@
 //      streams them to the sink and appends them to Dataset::kpis.
 //
 // Step 3 is the only fan-out. A cell's hours depend only on its own load
-// slots and the day's per-hour trunk loss, the aggregator reduces each
-// cell from its own samples, and each chunk's rows are concatenated in
+// slots and the day's per-hour trunk loss; each work item records a cell's
+// hours into its own 24-hour sample block and reduces the cell right away
+// (telemetry::CellDaySamples), and each chunk's rows are concatenated in
 // chunk order — which is cell order — so the rows are bit-identical at any
 // worker count. kCellChunk is therefore an internal constant, not scenario
 // identity. Everything else runs on the calling thread, in day order.
@@ -46,11 +53,14 @@ class KpiDayCloser {
  public:
   // Cells per scheduling chunk.
   static constexpr std::size_t kCellChunk = 128;
+  // ordinal() of a cell the day does not collect.
+  static constexpr std::uint32_t kNotCollected = 0xffff'ffffu;
 
   // The day's input, accumulated by the per-user reduction.
   struct DayLoad {
-    // [cell][hour] offered load. app_limited_dl_mbps accumulates
-    // rate * active seconds; close() normalizes it to the mean rate.
+    // [ordinal][hour] offered load of the collected cells.
+    // app_limited_dl_mbps accumulates rate * active seconds; close()
+    // normalizes it to the mean rate.
     std::vector<radio::CellHourLoad> cell_hours;
     std::array<double, kHoursPerDay> offnet_minutes{};
     std::array<std::uint64_t, kHoursPerDay> voice_attempts{};
@@ -71,7 +81,14 @@ class KpiDayCloser {
   // pure function of its calibration scalar).
   void restore(const RunState& state);
 
-  // Opens `day` with a zero load and opens the aggregator.
+  // The number of collected cells, and `cell`'s position among them in
+  // ascending id order (kNotCollected if the day does not collect it).
+  [[nodiscard]] std::size_t collected_cells() const { return cells_.size(); }
+  [[nodiscard]] std::uint32_t ordinal(CellId cell) const {
+    return ordinal_[cell.value()];
+  }
+
+  // Opens `day` with a zero load.
   void begin_day(SimDay day);
   [[nodiscard]] DayLoad& day_load() { return load_; }
 
@@ -93,9 +110,9 @@ class KpiDayCloser {
     radio::SchedulerCounters scheduler;
   };
 
-  void schedule_cell(CellId cell_id,
+  void schedule_cell(std::size_t ordinal,
                      const std::array<double, kHoursPerDay>& hour_loss,
-                     radio::SchedulerCounters& counters);
+                     telemetry::CellDaySamples& samples, ChunkRows& chunk);
   [[nodiscard]] std::vector<telemetry::CellDayRecord> schedule_cells(
       const std::array<double, kHoursPerDay>& hour_loss);
 
@@ -105,15 +122,68 @@ class KpiDayCloser {
   WorkerPool& pool_;
   traffic::VoiceInterconnect interconnect_;
   radio::LteScheduler scheduler_;
-  telemetry::KpiAggregator aggregator_;
-  // The cells scheduled each KPI day, in ascending id order.
+  // The collected cells in ascending id order, and each cell's ordinal.
   std::vector<CellId> cells_;
+  std::vector<std::uint32_t> ordinal_;  // by CellId value
   analysis::CellGrouping audit_partition_;
   audit::MetricBounds audit_bounds_;
   SimDay day_ = 0;
   DayLoad load_;
   std::vector<ChunkRows> chunks_;  // one per pool slot
   Counters counters_;
+};
+
+// One user chunk's share of a KPI day's load; the simulator keeps one per
+// reorder-window slot. It holds only the collected cell-hours the chunk
+// touched, in first-touch order, found through a u32 slot map over every
+// collected cell-hour (ordinal * 24 + hour), plus the chunk's national
+// per-hour voice totals. Merging and clearing cost O(touched).
+class ChunkLoad {
+ public:
+  // Sizes the slot map for `cells` collected cells, all untouched. The
+  // touched list reserves room for every collected cell-hour, so it never
+  // reallocates (which would strand each outgrown block in the filling
+  // worker's arena); only the pages a chunk fills become resident.
+  void size_for(std::size_t cells);
+  [[nodiscard]] bool sized() const { return !slot_of_.empty(); }
+
+  // Collected cell `ordinal`'s load in `hour`, zero on the chunk's first
+  // touch. Throws std::logic_error, touching nothing, for an ordinal the
+  // slot map does not cover — KpiDayCloser::kNotCollected among them.
+  [[nodiscard]] radio::CellHourLoad& at(std::uint32_t ordinal, int hour) {
+    const std::size_t slot = std::size_t{ordinal} * kHoursPerDay +
+                             static_cast<std::size_t>(hour);
+    if (slot >= slot_of_.size()) refuse(ordinal);
+    std::uint32_t& index = slot_of_[slot];
+    if (index == 0) {
+      dirty_.push_back(static_cast<std::uint32_t>(slot));
+      loads_.emplace_back();
+      index = static_cast<std::uint32_t>(loads_.size());
+    }
+    return loads_[index - 1];
+  }
+  // Cell-hours touched since the last clear.
+  [[nodiscard]] std::size_t touched() const { return dirty_.size(); }
+
+  // Adds every touched slot into `day`'s grid (radio::merge_load) and the
+  // voice totals into its own, then clears. Callers merge chunks in chunk
+  // order, so each slot's sum is a function of the chunk grid alone.
+  // Throws std::logic_error, merging nothing, if `day` covers another
+  // number of cells.
+  void merge_into(KpiDayCloser::DayLoad& day);
+  // Back to untouched with zero voice totals, keeping the capacity.
+  void clear();
+
+  std::array<double, kHoursPerDay> offnet_minutes{};
+  std::array<std::uint64_t, kHoursPerDay> voice_attempts{};
+
+ private:
+  [[noreturn]] static void refuse(std::uint32_t ordinal);
+
+  // Per collected cell-hour: 1 + its index in loads_, 0 while untouched.
+  std::vector<std::uint32_t> slot_of_;
+  std::vector<std::uint32_t> dirty_;  // the cell-hour of each loads_ entry
+  std::vector<radio::CellHourLoad> loads_;
 };
 
 }  // namespace cellscope::sim

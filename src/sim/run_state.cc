@@ -1,5 +1,6 @@
 #include "sim/run_state.h"
 
+#include <string>
 #include <utility>
 
 #include "sim/dataset_codec.h"
@@ -14,6 +15,13 @@ RunState::RunState(std::vector<mobility::UserPlaces> places,
   base_place_count_.reserve(user_places.size());
   for (const auto& p : user_places)
     base_place_count_.push_back(static_cast<std::uint8_t>(p.size()));
+}
+
+std::vector<analysis::HomeRecord> RunState::finalize_homes() {
+  homes_finalized = true;
+  std::vector<analysis::HomeRecord> homes = home_detector.finalize();
+  home_detector = analysis::HomeDetector{home_detector.params()};
+  return homes;
 }
 
 void RunState::save(BlobWriter& w) const {
@@ -68,7 +76,7 @@ void RunState::save(BlobWriter& w) const {
   w.f64(legacy_hours);
 }
 
-void RunState::restore(BlobReader& r) {
+void RunState::restore(BlobReader& r, const SubstrateBounds& bounds) {
   // Every counted element takes at least one byte: a larger count is
   // damage, refused before it sizes an allocation.
   const auto count = [&r] {
@@ -76,6 +84,14 @@ void RunState::restore(BlobReader& r) {
     if (n > r.remaining())
       throw BlobError{"checkpoint record: count beyond the record"};
     return static_cast<std::size_t>(n);
+  };
+  // A substrate id read back, refused unless below `size`.
+  const auto id = [&r](std::size_t size, const char* what) {
+    const std::uint32_t value = r.u32();
+    if (value >= size)
+      throw BlobError{std::string{"checkpoint record: "} + what +
+                      " out of range"};
+    return value;
   };
   const std::size_t n_users = user_states.size();
   if (r.u64() != n_users)
@@ -103,8 +119,9 @@ void RunState::restore(BlobReader& r) {
       if (kind > static_cast<std::uint8_t>(mobility::PlaceKind::kRefuge))
         throw BlobError{"checkpoint record: unknown place kind"};
       place.kind = static_cast<mobility::PlaceKind>(kind);
-      place.district = PostcodeDistrictId{r.u32()};
-      place.county = CountyId{r.u32()};
+      place.district =
+          PostcodeDistrictId{id(bounds.districts, "place district")};
+      place.county = CountyId{id(bounds.counties, "place county")};
       place.location.lat_deg = r.f64();
       place.location.lon_deg = r.f64();
       place.weight = r.f64();
@@ -126,10 +143,10 @@ void RunState::restore(BlobReader& r) {
       u.last_night_day = static_cast<SimDay>(r.i64());
       u.sites.resize(count());
       for (auto& s : u.sites) {
-        s.site = r.u32();
+        s.site = id(bounds.sites, "detector site");
         s.night_hours = r.f64();
-        s.district = r.u32();
-        s.county = r.u32();
+        s.district = id(bounds.districts, "detector district");
+        s.county = id(bounds.counties, "detector county");
       }
     }
     home_detector.restore_state(saved);
@@ -153,6 +170,9 @@ std::vector<std::uint8_t> encode_record(SimDay day, const RunState& state,
 SimDay replay_log(std::span<const std::uint8_t> log, SimDay first_day,
                   RunState& state, Dataset& ds) {
   BlobReader r{log};
+  const SubstrateBounds bounds{ds.geography->districts().size(),
+                               ds.geography->counties().size(),
+                               ds.topology->sites().size()};
   DatasetDecoder decoder{ds};
   SimDay day = first_day - 1;
   while (!r.done()) {
@@ -160,7 +180,7 @@ SimDay replay_log(std::span<const std::uint8_t> log, SimDay first_day,
       throw BlobError{"checkpoint record: run-state version changed mid-log"};
     if (r.i64() != ++day)
       throw BlobError{"checkpoint record: days out of order"};
-    state.restore(r);
+    state.restore(r, bounds);
     decode_sections(decoder, r);
   }
   return day;

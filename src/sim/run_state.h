@@ -39,6 +39,14 @@ struct Dataset;
 inline constexpr std::uint64_t kRunStateVersion = 3;
 static_assert(kRunStateVersion < 0x80, "the version is the first byte");
 
+// The substrate's id ranges (build_substrate): a record whose places or
+// detector sites name an id outside them is refused.
+struct SubstrateBounds {
+  std::size_t districts = 0;
+  std::size_t counties = 0;
+  std::size_t sites = 0;
+};
+
 class RunState {
  public:
   // `places` are the users' generated places, one entry per user; only
@@ -48,7 +56,8 @@ class RunState {
 
   std::vector<mobility::UserState> user_states;  // one per user
   std::vector<mobility::UserPlaces> user_places;  // one per user
-  analysis::HomeDetector home_detector;  // spent once homes_finalized
+  // Empty once homes_finalized: finalize_homes() releases its accumulators.
+  analysis::HomeDetector home_detector;
   bool homes_finalized = false;
   // The interconnect is dimensioned against the first KPI week's busiest
   // hour; the capacity itself regrows from this on resume.
@@ -58,11 +67,16 @@ class RunState {
   double lte_hours = 0.0;
   double legacy_hours = 0.0;
 
+  // The detector's homes. Sets homes_finalized and releases the
+  // detector's accumulators, which nothing reads again.
+  [[nodiscard]] std::vector<analysis::HomeRecord> finalize_homes();
+
   void save(BlobWriter& w) const;
-  // Replaces the state with one `save` wrote for the same users. Throws
-  // BlobError on truncated input, another user count, or a user, refuge
-  // or place kind out of range; the state is then unspecified.
-  void restore(BlobReader& r);
+  // Replaces the state with one `save` wrote for the same users over a
+  // substrate of `bounds`. Throws BlobError on truncated input, another
+  // user count, or a user, refuge, place kind, district, county or site
+  // out of range; the state is then unspecified.
+  void restore(BlobReader& r, const SubstrateBounds& bounds);
 
  private:
   std::vector<std::uint8_t> base_place_count_;  // generated places per user
@@ -77,9 +91,10 @@ class RunState {
 
 // Replays a log of current-version records, the first for `first_day`,
 // into `state` and `ds` (which holds the substrate and window shape,
-// build_substrate) and returns the last record's day. Throws BlobError on
-// truncated input, a record out of version or day order, or a record the
-// state or the section decoder refuses.
+// build_substrate; restore checks ids against it) and returns the last
+// record's day. Throws BlobError on truncated input, a record out of
+// version or day order, or a record the state or the section decoder
+// refuses.
 SimDay replay_log(std::span<const std::uint8_t> log, SimDay first_day,
                   RunState& state, Dataset& ds);
 

@@ -6,6 +6,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "analysis/mobility_metrics.h"
 #include "obs/runtime.h"
 #include "sim/dataset_audit.h"
@@ -26,30 +30,43 @@ namespace cellscope::sim {
 
 namespace {
 
-// Serving cells of one user place, resolved once.
+// Serving cells of one user place, resolved once. Fields are ordered to
+// pack into 48 bytes.
 struct PlaceCells {
   SiteId site;
-  LatLon site_location;
   CountyId county;
   PostcodeDistrictId district;
-  std::array<CellId, radio::kRatCount> cell_by_rat;
+  CellId lte_cell;
+  LatLon site_location;
+  // Each RAT's serving cell as a KPI-day load ordinal
+  // (KpiDayCloser::ordinal), kNotCollected where the day does not collect
+  // it.
+  std::array<std::uint32_t, radio::kRatCount> ordinal_by_rat;
   bool site_has_legacy = false;
+  // Whether the 3G / 2G serving cell is of that RAT rather than the 4G
+  // fallback where the layer is not deployed.
+  bool has_3g = false;
+  bool has_2g = false;
 };
 
 PlaceCells resolve_place(const radio::RadioTopology& topology,
+                         const KpiDayCloser& kpi_closer,
                          const mobility::Place& place) {
-  PlaceCells pc;
   // serving_cell() picks nearest site + bearing sector; resolve per RAT
   // (legacy falls back to 4G where undeployed).
-  pc.cell_by_rat[static_cast<int>(radio::Rat::k4G)] =
-      topology.serving_cell(place.district, place.location, radio::Rat::k4G);
-  pc.cell_by_rat[static_cast<int>(radio::Rat::k3G)] =
-      topology.serving_cell(place.district, place.location, radio::Rat::k3G);
-  pc.cell_by_rat[static_cast<int>(radio::Rat::k2G)] =
-      topology.serving_cell(place.district, place.location, radio::Rat::k2G);
-  const auto& cell =
-      topology.cell(pc.cell_by_rat[static_cast<int>(radio::Rat::k4G)]);
-  const auto& site = topology.site(cell.site);
+  const auto serving = [&](radio::Rat rat) {
+    return topology.serving_cell(place.district, place.location, rat);
+  };
+  const CellId cell_2g = serving(radio::Rat::k2G);
+  const CellId cell_3g = serving(radio::Rat::k3G);
+  PlaceCells pc;
+  pc.lte_cell = serving(radio::Rat::k4G);
+  pc.ordinal_by_rat = {kpi_closer.ordinal(cell_2g),
+                       kpi_closer.ordinal(cell_3g),
+                       kpi_closer.ordinal(pc.lte_cell)};
+  pc.has_3g = topology.cell(cell_3g).rat == radio::Rat::k3G;
+  pc.has_2g = topology.cell(cell_2g).rat == radio::Rat::k2G;
+  const auto& site = topology.site(topology.cell(pc.lte_cell).site);
   pc.site = site.id;
   pc.site_location = site.location;
   pc.county = site.county;
@@ -57,6 +74,7 @@ PlaceCells resolve_place(const radio::RadioTopology& topology,
   pc.site_has_legacy = site.has_2g || site.has_3g;
   return pc;
 }
+static_assert(sizeof(PlaceCells) == 48);
 
 // Forwards signaling events to a chunk's probe except while the probe is
 // in a fault-plan outage window, counting both sides for the quality
@@ -243,13 +261,18 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   RunState run_state{std::move(generated_places), home_params};
   std::vector<mobility::UserState>& user_states = run_state.user_states;
   std::vector<mobility::UserPlaces>& user_places = run_state.user_places;
+
+  // KPI plumbing: the per-user reduction fills the closer's day load,
+  // indexed by the closer's collected-cell ordinals.
+  KpiDayCloser kpi_closer{config_, topology, fault_plan, pool};
+
   std::vector<std::vector<PlaceCells>> place_cells(n_users);
   const auto cells_of = [&](std::size_t user,
                             std::uint8_t place_index) -> const PlaceCells& {
     auto& resolved = place_cells[user];
     while (resolved.size() <= place_index) {
       resolved.push_back(resolve_place(
-          topology, user_places[user].places[resolved.size()]));
+          topology, kpi_closer, user_places[user].places[resolved.size()]));
     }
     return resolved[place_index];
   };
@@ -257,10 +280,6 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   std::vector<std::uint8_t> tracked_london(n_users, 0);
 
   const auto inner_london = geography.county_by_name("Inner London");
-
-  // KPI plumbing: the per-user reduction fills the closer's day load.
-  const std::size_t n_cells = topology.cells().size();
-  KpiDayCloser kpi_closer{config_, topology, fault_plan, pool};
 
   // ---------------------------------------------------- parallel engine
   // The per-user day simulation is embarrassingly parallel: every mutable
@@ -284,15 +303,10 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   // move float bits, or that feeds an order-sensitive consumer (the home
   // detector, the London matrix), is staged here and drained by reduce.
   struct ChunkBuf {
-    // Dense [cell][hour] loads plus the indexes actually touched, so a
-    // chunk that visits few cells merges and clears in O(touched) rather
-    // than O(n_cells * 24).
-    std::vector<radio::CellHourLoad> loads;
-    std::vector<std::uint32_t> dirty;
-    std::array<double, kHoursPerDay> offnet{};
-    // Call attempts per hour (for the voice ledger): integer counts, so the
-    // chunk-order merge is exact and thread-count invariant for free.
-    std::array<std::uint64_t, kHoursPerDay> voice_attempts{};
+    // The chunk's KPI-day load: the collected cell-hours it touched, its
+    // off-net minutes and its call attempts per hour (for the voice ledger:
+    // integer counts, so the chunk-order merge is exact).
+    ChunkLoad load;
     double roamers = 0.0;
     double lte_hours = 0.0;
     double legacy_hours = 0.0;
@@ -389,11 +403,17 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     auto day_span = tracer.span("day", "sim", day);
     const auto day_clock_start = std::chrono::steady_clock::now();
 
-    // Finalize homes the moment the analysis window opens.
+    // Finalize homes the moment the analysis window opens; the detector's
+    // accumulators are released with it.
     if (!run_state.homes_finalized && day >= analysis_start) {
-      run_state.homes_finalized = true;
       homes_in_record = true;
-      ds.homes = run_state.home_detector.finalize();
+      ds.homes = run_state.finalize_homes();
+#if defined(__GLIBC__)
+      // The detector's accumulators were the heap's largest run of small
+      // blocks. Pages freed in the middle of a heap stay resident until the
+      // allocator hands them back, so hand them back now.
+      malloc_trim(0);
+#endif
       ds.home_validation = analysis::validate_homes(
           geography, ds.homes, static_cast<std::int64_t>(ds.eligible_users));
       if (inner_london) {
@@ -410,15 +430,15 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
 
     const bool kpi_day = config_.collect_kpis && day >= kpi_first_day;
     if (kpi_day) kpi_closer.begin_day(day);
-    KpiDayCloser::DayLoad& day_load = kpi_closer.day_load();
 
     const bool collect_homes = !run_state.homes_finalized;
     const bool track_matrix = ds.london_matrix != nullptr;
 
-    // Chunk-load buffers are sized lazily on the first KPI day; reduction
-    // leaves every buffer cleared, so there is no other per-day reset.
-    if (kpi_day && chunk_bufs[0].loads.empty())
-      for (auto& b : chunk_bufs) b.loads.assign(n_cells * kHoursPerDay, {});
+    // Chunk-load slot maps are sized lazily on the first KPI day;
+    // reduction leaves every buffer cleared, so there is no other per-day
+    // reset.
+    if (kpi_day && !chunk_bufs[0].load.sized())
+      for (auto& b : chunk_bufs) b.load.size_for(kpi_closer.collected_cells());
     // Day accumulators drained by the chunk-order reduction below.
     double roamers_today = 0.0;
     std::uint64_t obs_expected_today = 0;
@@ -557,9 +577,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
         const PlaceCells& pc = cells_of(i, stay.place);
         const auto context = traffic::wifi_context(
             user_places[i].places[stay.place].kind);
-        const CellId lte_cell =
-            pc.cell_by_rat[static_cast<int>(radio::Rat::k4G)];
-        cell_stays.push_back({lte_cell, stay.start_hour, stay.end_hour});
+        cell_stays.push_back({pc.lte_cell, stay.start_hour, stay.end_hour});
 
         for (int h = stay.start_hour; h < stay.end_hour; ++h) {
           // RAT for this hour (~75% of connected time on 4G).
@@ -574,45 +592,32 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
           const auto voice = voice_model.sample_hour(user, day, h, rng);
           if (voice.minutes > 0.0) {
             ++voice_calls;
-            ++b.voice_attempts[static_cast<std::size_t>(h)];
+            ++b.load.voice_attempts[static_cast<std::size_t>(h)];
             // All off-net conversational minutes (any RAT) cross the
             // inter-MNO trunks.
-            b.offnet[static_cast<std::size_t>(h)] +=
+            b.load.offnet_minutes[static_cast<std::size_t>(h)] +=
                 voice.minutes * voice.offnet_fraction;
           }
 
           // Serving cell for the load accounting. Legacy hours are outside
           // the paper's KPI scope and are only accumulated when the
           // scenario opts into legacy collection.
-          CellId serving = lte_cell;
+          std::uint32_t serving =
+              pc.ordinal_by_rat[static_cast<int>(radio::Rat::k4G)];
           if (!on_lte) {
             if (!config_.collect_legacy_kpis) continue;
             // Camped on 3G where deployed (2G for ~30% of the legacy dwell
             // when both layers exist).
-            const CellId cell_3g =
-                pc.cell_by_rat[static_cast<int>(radio::Rat::k3G)];
-            const CellId cell_2g =
-                pc.cell_by_rat[static_cast<int>(radio::Rat::k2G)];
-            const bool has_3g =
-                topology.cell(cell_3g).rat == radio::Rat::k3G;
-            const bool has_2g =
-                topology.cell(cell_2g).rat == radio::Rat::k2G;
-            if (has_3g && (!has_2g || !rng.chance(0.3))) {
-              serving = cell_3g;
-            } else if (has_2g) {
-              serving = cell_2g;
+            if (pc.has_3g && (!pc.has_2g || !rng.chance(0.3))) {
+              serving = pc.ordinal_by_rat[static_cast<int>(radio::Rat::k3G)];
+            } else if (pc.has_2g) {
+              serving = pc.ordinal_by_rat[static_cast<int>(radio::Rat::k2G)];
             } else {
               continue;  // no legacy layer actually deployed here
             }
           }
 
-          const std::size_t load_index =
-              serving.value() * kHoursPerDay + static_cast<std::size_t>(h);
-          auto& load = b.loads[load_index];
-          // connected_users is always a (cell, hour)'s first touch, so a
-          // zero count means this chunk has not dirtied the slot yet.
-          if (load.connected_users == 0.0)
-            b.dirty.push_back(static_cast<std::uint32_t>(load_index));
+          auto& load = b.load.at(serving, h);
           load.connected_users += 1.0;
           const auto demand = demand_model.sample_hour(
               user, context, day, h, rng,
@@ -688,11 +693,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
         auto& resolved = place_cells[begin + k];
         if (resolved.size() > n_places) resolved.resize(n_places);
       }
-      for (const auto load_index : b.dirty)
-        b.loads[load_index] = radio::CellHourLoad{};
-      b.dirty.clear();
-      b.offnet.fill(0.0);
-      b.voice_attempts.fill(0);
+      b.load.clear();
       b.roamers = 0.0;
       b.lte_hours = 0.0;
       b.legacy_hours = 0.0;
@@ -761,20 +762,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       b.mobility.clear();
       for (const auto& obs : b.matrix_obs) ds.london_matrix->observe(obs);
       b.matrix_obs.clear();
-      if (kpi_day) {
-        for (const auto load_index : b.dirty) {
-          radio::merge_load(day_load.cell_hours[load_index],
-                            b.loads[load_index]);
-          b.loads[load_index] = radio::CellHourLoad{};
-        }
-        b.dirty.clear();
-        for (std::size_t h = 0; h < kHoursPerDay; ++h)
-          day_load.offnet_minutes[h] += b.offnet[h];
-        b.offnet.fill(0.0);
-        for (std::size_t h = 0; h < kHoursPerDay; ++h)
-          day_load.voice_attempts[h] += b.voice_attempts[h];
-        b.voice_attempts.fill(0);
-      }
+      if (kpi_day) b.load.merge_into(kpi_closer.day_load());
     };
 
     {
@@ -928,7 +916,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
 
   // Degenerate scenarios that never reach week 9 still finalize homes.
   if (!run_state.homes_finalized) {
-    ds.homes = run_state.home_detector.finalize();
+    ds.homes = run_state.finalize_homes();
     ds.home_validation = analysis::validate_homes(
         geography, ds.homes, static_cast<std::int64_t>(ds.eligible_users));
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 
 #include "common/stats.h"
@@ -23,18 +24,39 @@ std::string_view kpi_metric_name(KpiMetric metric) {
   return kMetricNames[static_cast<int>(metric)];
 }
 
-KpiAggregator::KpiAggregator(std::size_t cell_count, DailyReduction reduction)
-    : cell_count_(cell_count), reduction_(reduction) {
-  samples_.assign(cell_count_ * kKpiMetricCount * kHoursPerDay, 0.0);
-  hours_recorded_.assign(cell_count_, 0);
+void CellDaySamples::record(const radio::CellHourKpi& kpi) {
+  if (hours >= kHoursPerDay)
+    throw std::logic_error("CellDaySamples: more than 24 hours recorded");
+  const std::array<double, kKpiMetricCount> hour = {
+      kpi.dl_volume_mb,        kpi.ul_volume_mb,
+      kpi.active_dl_users,     kpi.tti_utilization,
+      kpi.user_dl_throughput_mbps, kpi.active_data_seconds,
+      kpi.connected_users,     kpi.voice_volume_mb,
+      kpi.simultaneous_voice_users, kpi.voice_dl_loss_pct,
+      kpi.voice_ul_loss_pct};
+  for (std::size_t m = 0; m < hour.size(); ++m)
+    values[m * kHoursPerDay + static_cast<std::size_t>(hours)] = hour[m];
+  ++hours;
 }
 
-std::size_t KpiAggregator::slot(std::size_t cell, int metric,
-                                int hour) const {
-  return (cell * kKpiMetricCount + static_cast<std::size_t>(metric)) *
-             kHoursPerDay +
-         static_cast<std::size_t>(hour);
+CellDayRecord CellDaySamples::reduce(CellId cell, SimDay day,
+                                     DailyReduction reduction) const {
+  assert(hours > 0);
+  CellDayRecord row;
+  row.cell = cell;
+  row.day = day;
+  for (std::size_t m = 0; m < kKpiFields.size(); ++m) {
+    const std::span<const double> metric{&values[m * kHoursPerDay],
+                                         static_cast<std::size_t>(hours)};
+    row.*kKpiFields[m] = reduction == DailyReduction::kMedian
+                             ? stats::median(metric)
+                             : stats::mean(metric);
+  }
+  return row;
 }
+
+KpiAggregator::KpiAggregator(std::size_t cell_count, DailyReduction reduction)
+    : reduction_(reduction), cells_(cell_count) {}
 
 void KpiAggregator::begin_day(SimDay day) {
   if (day_open_)
@@ -43,75 +65,43 @@ void KpiAggregator::begin_day(SimDay day) {
   day_open_ = true;
   // A cell's samples are read only up to its recorded hours, so resetting
   // the counts is enough; stale samples beyond them are never seen.
-  std::fill(hours_recorded_.begin(), hours_recorded_.end(), 0);
+  for (auto& cell : cells_) cell.hours = 0;
 }
 
 void KpiAggregator::record_hour(CellId cell, const radio::CellHourKpi& kpi) {
   assert(day_open_);
-  const std::size_t c = cell.value();
-  assert(c < cell_count_);
-  const int hour = hours_recorded_[c];
-  if (hour >= kHoursPerDay)
-    throw std::logic_error("KpiAggregator: more than 24 hours recorded");
-  const std::array<double, kKpiMetricCount> values = {
-      kpi.dl_volume_mb,        kpi.ul_volume_mb,
-      kpi.active_dl_users,     kpi.tti_utilization,
-      kpi.user_dl_throughput_mbps, kpi.active_data_seconds,
-      kpi.connected_users,     kpi.voice_volume_mb,
-      kpi.simultaneous_voice_users, kpi.voice_dl_loss_pct,
-      kpi.voice_ul_loss_pct};
-  for (int m = 0; m < kKpiMetricCount; ++m)
-    samples_[slot(c, m, hour)] = values[static_cast<std::size_t>(m)];
-  ++hours_recorded_[c];
-}
-
-void KpiAggregator::reduce_cells(std::size_t first, std::size_t end,
-                                 std::vector<CellDayRecord>& rows) const {
-  if (!day_open_)
-    throw std::logic_error("KpiAggregator: no day in progress");
-  end = std::min(end, cell_count_);
-  for (std::size_t c = first; c < end; ++c) {
-    const int n = hours_recorded_[c];
-    if (n == 0) continue;
-    CellDayRecord row;
-    row.cell = CellId{static_cast<std::uint32_t>(c)};
-    row.day = day_;
-    for (int m = 0; m < kKpiMetricCount; ++m) {
-      const std::span<const double> hours{&samples_[slot(c, m, 0)],
-                                          static_cast<std::size_t>(n)};
-      row.*kKpiFields[static_cast<std::size_t>(m)] =
-          reduction_ == DailyReduction::kMedian ? stats::median(hours)
-                                                : stats::mean(hours);
-    }
-    rows.push_back(row);
-  }
-}
-
-void KpiAggregator::end_day() {
-  if (!day_open_)
-    throw std::logic_error("KpiAggregator: no day in progress");
-  day_open_ = false;
+  assert(cell.value() < cells_.size());
+  cells_[cell.value()].record(kpi);
 }
 
 std::vector<CellDayRecord> KpiAggregator::finish_day() {
+  if (!day_open_)
+    throw std::logic_error("KpiAggregator: no day in progress");
   std::vector<CellDayRecord> rows;
-  rows.reserve(cell_count_);
-  reduce_cells(0, cell_count_, rows);
-  end_day();
+  rows.reserve(cells_.size());
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    if (cells_[c].hours == 0) continue;
+    rows.push_back(cells_[c].reduce(CellId{static_cast<std::uint32_t>(c)},
+                                    day_, reduction_));
+  }
+  day_open_ = false;
   return rows;
 }
 
 void KpiStore::add_day(std::vector<CellDayRecord> rows) {
   if (rows.empty()) return;
-  const SimDay day = rows.front().day;
-  if (records_.empty()) {
-    first_day_ = day;
-  } else if (day <= last_day_) {
+  const auto [earliest, latest] = std::minmax_element(
+      rows.begin(), rows.end(),
+      [](const CellDayRecord& a, const CellDayRecord& b) {
+        return a.day < b.day;
+      });
+  if (!records_.empty() && earliest->day <= last_day_) {
     // Gaps are allowed (real exports can miss days); going backwards or
     // splitting one day across add_day calls is a bug.
     throw std::logic_error("KpiStore: days must be added in increasing order");
   }
-  last_day_ = day;
+  if (records_.empty()) first_day_ = earliest->day;
+  last_day_ = latest->day;
   records_.insert(records_.end(), rows.begin(), rows.end());
 }
 

@@ -73,6 +73,23 @@ enum class DailyReduction : std::uint8_t {
   kMean,        // ablation (DESIGN.md Section 5)
 };
 
+// One cell's hourly KPI samples over a day, in record order: the block
+// KpiAggregator keeps per cell and the KPI day close keeps per work item.
+// reduce() is the one per-cell daily reduction both use.
+struct CellDaySamples {
+  // [metric][k]: the metric's value in the k-th recorded hour. Only the
+  // first `hours` entries of each metric are ever read.
+  std::array<double, kKpiMetricCount * kHoursPerDay> values;
+  int hours = 0;
+
+  // Appends one hour. Throws std::logic_error past 24 hours.
+  void record(const radio::CellHourKpi& kpi);
+  // The cell's row: each metric reduced over its recorded hours, in record
+  // order. Requires at least one recorded hour.
+  [[nodiscard]] CellDayRecord reduce(CellId cell, SimDay day,
+                                     DailyReduction reduction) const;
+};
+
 class KpiAggregator {
  public:
   // `cell_count` indexes cells densely by CellId value.
@@ -80,35 +97,25 @@ class KpiAggregator {
                 DailyReduction reduction = DailyReduction::kMedian);
 
   void begin_day(SimDay day);
-  // Writes only `cell`'s samples, so distinct cells may record and reduce
-  // concurrently.
   void record_hour(CellId cell, const radio::CellHourKpi& kpi);
-  // Reduces the open day's hourly samples of cells [first, end) to one
-  // CellDayRecord each, appended to `rows` in cell order. Cells with no
-  // recorded hours produce no row (not monitored today, e.g. legacy RATs).
-  // Reads only those cells, so disjoint ranges may reduce concurrently.
-  void reduce_cells(std::size_t first, std::size_t end,
-                    std::vector<CellDayRecord>& rows) const;
-  // Closes the open day, once its cells are reduced.
-  void end_day();
-  // reduce_cells over every cell, then end_day.
+  // Reduces the open day's hourly samples to one CellDayRecord per cell,
+  // in cell order, and closes the day. Cells with no recorded hours
+  // produce no row (not monitored today, e.g. legacy RATs).
   [[nodiscard]] std::vector<CellDayRecord> finish_day();
 
  private:
-  std::size_t cell_count_;
   DailyReduction reduction_;
   SimDay day_ = 0;
   bool day_open_ = false;
-  // [cell][metric][hour_slot] sample buffers, flattened.
-  std::vector<double> samples_;
-  std::vector<std::uint8_t> hours_recorded_;
-  [[nodiscard]] std::size_t slot(std::size_t cell, int metric,
-                                 int hour) const;
+  std::vector<CellDaySamples> cells_;  // by CellId value
 };
 
 // All cell-day rows of the analysis window, with lookup helpers.
 class KpiStore {
  public:
+  // Appends one day's rows. first_day()/last_day() cover every row of the
+  // batch. Throws std::logic_error, adding nothing, when the batch's
+  // earliest day is not after the stored last day.
   void add_day(std::vector<CellDayRecord> rows);
 
   [[nodiscard]] const std::vector<CellDayRecord>& records() const {

@@ -187,6 +187,25 @@ KpiDayCloser::DayLoad hand_built_load(const radio::RadioTopology& topology,
   return load;
 }
 
+// The same load as the closer reads it: the collected cells' slots, by
+// ordinal. Uncollected cells carry no load in hand_built_load.
+KpiDayCloser::DayLoad by_ordinal(const KpiDayCloser::DayLoad& load,
+                                 const KpiDayCloser& closer,
+                                 const radio::RadioTopology& topology) {
+  KpiDayCloser::DayLoad out = load;
+  out.cell_hours.assign(closer.collected_cells() * kHoursPerDay, {});
+  for (const auto& cell : topology.cells()) {
+    const std::uint32_t ordinal = closer.ordinal(cell.id);
+    if (ordinal == KpiDayCloser::kNotCollected) continue;
+    std::copy_n(load.cell_hours.begin() +
+                    static_cast<std::ptrdiff_t>(cell.id.value() * kHoursPerDay),
+                kHoursPerDay,
+                out.cell_hours.begin() +
+                    static_cast<std::ptrdiff_t>(ordinal * kHoursPerDay));
+  }
+  return out;
+}
+
 // The KPI day close as Simulator::run inlined it before the KpiDayCloser:
 // one serial scheduler, the aggregator's whole-day finish_day, and the
 // export faults, audit and sink on the same rows.
@@ -365,7 +384,7 @@ TEST_P(KpiDayCloserTest, MatchesTheInlineReference) {
     reference_close(config, topology, plan, day, load, ref, want_state, want,
                     &want_sink);
     closer.begin_day(day);
-    closer.day_load() = load;
+    closer.day_load() = by_ordinal(load, closer, topology);
     const std::uint64_t rows = closer.close(got_state, got, &got_sink);
     EXPECT_EQ(rows, want.kpis.records().size() - want_before);
   }
@@ -406,12 +425,121 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, KpiDayCloserTest,
     ::testing::Values(CloserCase{1, false, false}, CloserCase{8, false, false},
                       CloserCase{1, true, false}, CloserCase{8, true, false},
-                      CloserCase{3, false, true}),
+                      CloserCase{3, false, true}, CloserCase{4, true, true}),
     [](const auto& info) {
       return "threads" + std::to_string(info.param.workers) +
              (info.param.faulted ? "_faulted" : "_clean") +
              (info.param.legacy ? "_legacy" : "");
     });
+
+// A serving cell the day does not collect has no ordinal, and a chunk
+// load refuses it without touching a slot: the day grid it merges into
+// stays zero.
+TEST(KpiDayCloserLoad, RefusesAnUncollectedServingCell) {
+  const ScenarioConfig config = phase_config();
+  ASSERT_FALSE(config.collect_legacy_kpis);
+  Dataset ds;
+  build_substrate(config, ds);
+  const radio::RadioTopology& topology = *ds.topology;
+  const FaultPlan plan;
+  WorkerPool pool{2};
+  KpiDayCloser closer{config, topology, plan, pool};
+  ASSERT_EQ(closer.collected_cells(), topology.lte_cells().size());
+
+  const auto legacy = std::find_if(
+      topology.cells().begin(), topology.cells().end(),
+      [](const radio::Cell& cell) { return cell.rat != radio::Rat::k4G; });
+  ASSERT_NE(legacy, topology.cells().end());
+  EXPECT_EQ(closer.ordinal(legacy->id), KpiDayCloser::kNotCollected);
+  EXPECT_EQ(closer.ordinal(topology.lte_cells().back()),
+            topology.lte_cells().size() - 1);
+
+  ChunkLoad unsized;
+  EXPECT_THROW((void)unsized.at(0, 0), std::logic_error);
+  EXPECT_EQ(unsized.touched(), 0u);
+
+  ChunkLoad chunk;
+  chunk.size_for(closer.collected_cells());
+  EXPECT_THROW((void)chunk.at(closer.ordinal(legacy->id), 5),
+               std::logic_error);
+  EXPECT_THROW(
+      (void)chunk.at(static_cast<std::uint32_t>(closer.collected_cells()), 0),
+      std::logic_error);
+  EXPECT_EQ(chunk.touched(), 0u);
+
+  closer.begin_day(week_start_day(10));
+  chunk.merge_into(closer.day_load());
+  for (const radio::CellHourLoad& slot : closer.day_load().cell_hours) {
+    EXPECT_EQ(bits(slot.connected_users), 0u);
+    EXPECT_EQ(bits(slot.offered_dl_mb), 0u);
+  }
+
+  // A day load sized for other cells is refused before any slot moves.
+  chunk.at(0, 3).connected_users = 1.0;
+  KpiDayCloser::DayLoad other;
+  other.cell_hours.resize(kHoursPerDay);
+  EXPECT_THROW(chunk.merge_into(other), std::logic_error);
+  EXPECT_EQ(bits(other.cell_hours[3].connected_users), 0u);
+  EXPECT_EQ(chunk.touched(), 1u);
+}
+
+// A cell in a whole-day outage, or on a day whose KPI feed is down for all
+// 24 hours, records no hour and reduces to no row; its load is still
+// consumed, so the next day starts from zero.
+TEST(KpiDayCloserLoad, DarkAndFeedDownCellsReduceToNoRow) {
+  ScenarioConfig config = phase_config();
+  config.faults.kpi_outages_per_week = 3.0;
+  config.faults.kpi_outage_mean_hours = 60.0;
+  config.faults.cell_outage_daily_prob = 0.05;
+  Dataset ds;
+  build_substrate(config, ds);
+  const radio::RadioTopology& topology = *ds.topology;
+  const FaultPlan plan =
+      FaultPlan::build(config.faults, config.seed, config.first_day(),
+                       config.last_day(), topology.cells().size());
+  WorkerPool pool{3};
+  KpiDayCloser closer{config, topology, plan, pool};
+  RunState state{{}, {}};
+
+  SimDay feed_down = -1;
+  SimDay partly_dark = -1;
+  for (SimDay day = config.kpi_first_day(); day <= config.last_day(); ++day) {
+    const int down = plan.kpi_down_hours(day);
+    std::size_t dark = 0;
+    for (const CellId cell : topology.lte_cells())
+      if (plan.cell_out(cell, day)) ++dark;
+    if (down == kHoursPerDay && feed_down < 0) feed_down = day;
+    if (down < kHoursPerDay && dark > 0 && partly_dark < 0) partly_dark = day;
+  }
+  ASSERT_GE(feed_down, 0) << "no day with the KPI feed down all day";
+  ASSERT_GE(partly_dark, 0) << "no collected day with a dark cell";
+
+  // Ascending, as a run closes its days.
+  for (const SimDay day : {std::min(feed_down, partly_dark),
+                           std::max(feed_down, partly_dark)}) {
+    SCOPED_TRACE("day " + std::to_string(day));
+    closer.begin_day(day);
+    closer.day_load() =
+        by_ordinal(hand_built_load(topology, false, day), closer, topology);
+    const std::size_t before = ds.kpis.records().size();
+    (void)closer.close(state, ds, nullptr);
+    const std::span<const telemetry::CellDayRecord> rows{
+        ds.kpis.records().data() + before,
+        ds.kpis.records().size() - before};
+    if (day == feed_down) {
+      EXPECT_TRUE(rows.empty());
+    } else {
+      std::vector<CellId> lit;
+      for (const CellId cell : topology.lte_cells())
+        if (!plan.cell_out(cell, day)) lit.push_back(cell);
+      ASSERT_EQ(rows.size(), lit.size());
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i].cell, lit[i]);
+    }
+    for (const radio::CellHourLoad& slot : closer.day_load().cell_hours)
+      EXPECT_EQ(bits(slot.connected_users), 0u);
+  }
+}
 
 // The same totals as the run publishes them: a whole simulation's
 // scheduler.* counters are equal at 1 and 8 workers, clean and faulted.

@@ -115,6 +115,28 @@ TEST(KpiStore, AllowsGapsButRejectsBackwardDays) {
   EXPECT_THROW(store.add_day(aggregator.finish_day()), std::logic_error);
 }
 
+// A batch is one day, but the store's day range comes from every row: a
+// batch that mixes days widens it, and the next batch must start after the
+// latest day seen.
+TEST(KpiStore, DayRangeCoversEveryRowOfABatch) {
+  const auto row = [](SimDay day) {
+    CellDayRecord record;
+    record.day = day;
+    return record;
+  };
+  KpiStore store;
+  store.add_day({row(5), row(7), row(4)});
+  EXPECT_EQ(store.first_day(), 4);
+  EXPECT_EQ(store.last_day(), 7);
+  EXPECT_THROW(store.add_day({row(7)}), std::logic_error);
+  EXPECT_THROW(store.add_day({row(9), row(6)}), std::logic_error);
+  EXPECT_EQ(store.records().size(), 3u);
+  EXPECT_EQ(store.last_day(), 7);
+  store.add_day({row(8)});
+  EXPECT_EQ(store.first_day(), 4);
+  EXPECT_EQ(store.last_day(), 8);
+}
+
 TEST(KpiStore, EmptyDayIsANoOp) {
   KpiStore store;
   store.add_day({});

@@ -19,6 +19,7 @@
 #include "population/generator.h"
 #include "radio/scheduler.h"
 #include "radio/topology.h"
+#include "sim/kpi_day_closer.h"
 #include "sim/pool.h"
 
 namespace cellscope {
@@ -523,6 +524,141 @@ TEST_P(ChunkMergePropertyTest, MetricsShardPartitionsAreExact) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChunkMergePropertyTest,
                          ::testing::Values(1u, 7u, 99u));
+
+// The simulator's compact chunk loads (sim/kpi_day_closer.h), merged in
+// chunk order, equal the dense per-chunk [cell-hour] grids they replaced
+// bit for bit. Random touches with inexact addends land on random
+// cell-hours over random chunk partitions; the buffers are reused across
+// chunks as the reorder window reuses them, and some chunks are reset
+// mid-way and replayed from their start, as a supervised retry does.
+class ChunkLoadPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ChunkLoadPropertyTest, CompactBuffersMergeLikeDenseGrids) {
+  Rng rng{GetParam()};
+  struct Touch {
+    std::uint32_t ordinal = 0;
+    int hour = 0;
+    radio::CellHourLoad add;  // connected_users is the simulator's 1.0
+    double offnet_minutes = 0.0;
+  };
+  const auto cells = static_cast<std::uint32_t>(1 + rng.uniform_index(80));
+  const std::size_t slots = std::size_t{cells} * kHoursPerDay;
+  constexpr std::size_t kTouches = 4'000;
+  std::vector<Touch> touches(kTouches);
+  for (Touch& t : touches) {
+    // Skewed toward low ordinals so slots see many additions each.
+    t.ordinal = static_cast<std::uint32_t>(
+        rng.uniform_index(1 + rng.uniform_index(cells)));
+    t.hour = static_cast<int>(rng.uniform_index(kHoursPerDay));
+    t.add.offered_dl_mb = rng.uniform(0.0, 900.0);
+    t.add.offered_ul_mb = rng.uniform(0.0, 90.0);
+    t.add.active_dl_user_seconds = rng.uniform(0.0, 3'600.0);
+    t.add.app_limited_dl_mbps = rng.uniform(0.0, 20.0) * 1e3 / 7.0;
+    if (rng.chance(0.3)) {
+      t.add.voice_dl_mb = rng.uniform(0.0, 3.0);
+      t.add.voice_ul_mb = rng.uniform(0.0, 3.0);
+      t.add.voice_user_seconds = rng.uniform(1.0, 600.0);
+      t.add.offnet_voice_fraction = rng.uniform(0.0, 0.6);
+      t.offnet_minutes = rng.uniform(0.0, 10.0) / 3.0;
+    }
+  }
+  // The simulator's per-user-hour accumulation into a (cell, hour) slot.
+  const auto accumulate = [](radio::CellHourLoad& load, const Touch& t) {
+    load.connected_users += 1.0;
+    load.offered_dl_mb += t.add.offered_dl_mb;
+    load.offered_ul_mb += t.add.offered_ul_mb;
+    load.active_dl_user_seconds += t.add.active_dl_user_seconds;
+    load.app_limited_dl_mbps += t.add.app_limited_dl_mbps;
+    if (t.add.voice_user_seconds > 0.0) {
+      load.voice_dl_mb += t.add.voice_dl_mb;
+      load.voice_ul_mb += t.add.voice_ul_mb;
+      load.voice_user_seconds += t.add.voice_user_seconds;
+      load.offnet_voice_fraction = t.add.offnet_voice_fraction;
+    }
+  };
+  const auto touch = [&](sim::ChunkLoad& chunk, const Touch& t) {
+    accumulate(chunk.at(t.ordinal, t.hour), t);
+    chunk.offnet_minutes[static_cast<std::size_t>(t.hour)] += t.offnet_minutes;
+    ++chunk.voice_attempts[static_cast<std::size_t>(t.hour)];
+  };
+
+  for (int trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Reference: one dense grid per chunk, merged slot by slot in chunk
+    // order through its dirty list.
+    std::vector<radio::CellHourLoad> reference(slots);
+    std::array<double, kHoursPerDay> reference_offnet{};
+    std::array<std::uint64_t, kHoursPerDay> reference_attempts{};
+    sim::KpiDayCloser::DayLoad day;
+    day.cell_hours.assign(slots, {});
+    std::vector<sim::ChunkLoad> window(3);
+    for (auto& chunk : window) chunk.size_for(cells);
+
+    std::size_t begin = 0;
+    for (std::size_t k = 0; begin < kTouches; ++k) {
+      const std::size_t end =
+          std::min(kTouches, begin + 1 + rng.uniform_index(600));
+      std::vector<radio::CellHourLoad> dense(slots);
+      std::vector<std::uint32_t> dirty;
+      std::array<double, kHoursPerDay> offnet{};
+      for (std::size_t i = begin; i < end; ++i) {
+        const Touch& t = touches[i];
+        const std::size_t slot = std::size_t{t.ordinal} * kHoursPerDay +
+                                 static_cast<std::size_t>(t.hour);
+        if (dense[slot].connected_users == 0.0)
+          dirty.push_back(static_cast<std::uint32_t>(slot));
+        accumulate(dense[slot], t);
+        offnet[static_cast<std::size_t>(t.hour)] += t.offnet_minutes;
+        ++reference_attempts[static_cast<std::size_t>(t.hour)];
+      }
+      for (const std::uint32_t slot : dirty)
+        radio::merge_load(reference[slot], dense[slot]);
+      for (std::size_t h = 0; h < kHoursPerDay; ++h)
+        reference_offnet[h] += offnet[h];
+
+      sim::ChunkLoad& chunk = window[k % window.size()];
+      if (rng.chance(0.3)) {
+        // A failed attempt that got part-way, then the supervisor's reset.
+        const std::size_t failed_at = begin + rng.uniform_index(end - begin);
+        for (std::size_t i = begin; i < failed_at; ++i)
+          touch(chunk, touches[i]);
+        chunk.clear();
+      }
+      for (std::size_t i = begin; i < end; ++i) touch(chunk, touches[i]);
+      EXPECT_EQ(chunk.touched(), dirty.size());
+      chunk.merge_into(day);
+      EXPECT_EQ(chunk.touched(), 0u);
+      begin = end;
+    }
+
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      const radio::CellHourLoad& want = reference[slot];
+      const radio::CellHourLoad& got = day.cell_hours[slot];
+      for (const auto field :
+           {&radio::CellHourLoad::offered_dl_mb,
+            &radio::CellHourLoad::offered_ul_mb,
+            &radio::CellHourLoad::active_dl_user_seconds,
+            &radio::CellHourLoad::app_limited_dl_mbps,
+            &radio::CellHourLoad::connected_users,
+            &radio::CellHourLoad::voice_dl_mb,
+            &radio::CellHourLoad::voice_ul_mb,
+            &radio::CellHourLoad::voice_user_seconds,
+            &radio::CellHourLoad::offnet_voice_fraction})
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(want.*field),
+                  std::bit_cast<std::uint64_t>(got.*field))
+            << "slot " << slot;
+    }
+    for (std::size_t h = 0; h < kHoursPerDay; ++h) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(reference_offnet[h]),
+                std::bit_cast<std::uint64_t>(day.offnet_minutes[h]));
+      EXPECT_EQ(reference_attempts[h], day.voice_attempts[h]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChunkLoadPropertyTest,
+                         ::testing::Values(3u, 41u, 2024u));
 
 }  // namespace
 }  // namespace cellscope

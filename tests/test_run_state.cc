@@ -6,7 +6,10 @@
 //   * A restore replaces the state, so replaying a log restores each
 //     record in turn and ends exactly at the last one.
 //   * A record for another population, or with a user, refuge index, place
-//     kind or count out of range, is refused with BlobError.
+//     kind, count, district, county or site out of range, is refused with
+//     BlobError.
+//   * finalize_homes() returns the detector's homes and leaves it holding
+//     no accumulator.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,6 +23,7 @@ namespace cellscope::sim {
 namespace {
 
 constexpr std::size_t kUsers = 4;
+constexpr SubstrateBounds kBounds{.districts = 8, .counties = 4, .sites = 16};
 
 // User i has 1 + i % 2 generated places.
 RunState fresh() {
@@ -39,7 +43,7 @@ std::vector<std::uint8_t> saved(const RunState& state) {
 
 void restore(RunState& state, const std::vector<std::uint8_t>& bytes) {
   BlobReader r{bytes};
-  state.restore(r);
+  state.restore(r, kBounds);
   EXPECT_TRUE(r.done());
 }
 
@@ -132,15 +136,20 @@ TEST(RunState, RestoreReplacesEarlierRecords) {
 
 // A record for kUsers users appending one place to user 2 (whose one
 // generated place makes the appended place index 1), with one detector
-// user; each field can be set out of range.
+// user at one site; each field can be set out of range.
 struct Craft {
   std::uint64_t users = kUsers;
   std::uint32_t appended_user = 2;
   std::uint8_t refuge_index = 1;
   std::uint8_t kind = static_cast<std::uint8_t>(mobility::PlaceKind::kRefuge);
+  std::uint32_t place_district = kBounds.districts - 1;
+  std::uint32_t place_county = kBounds.counties - 1;
   std::uint64_t detector_users = 1;
   std::uint32_t detector_user = 3;
-  std::uint64_t detector_sites = 0;
+  std::uint64_t detector_sites = 1;
+  std::uint32_t detector_site = kBounds.sites - 1;
+  std::uint32_t detector_district = kBounds.districts - 1;
+  std::uint32_t detector_county = kBounds.counties - 1;
 };
 
 std::vector<std::uint8_t> crafted(const Craft& c) {
@@ -152,8 +161,8 @@ std::vector<std::uint8_t> crafted(const Craft& c) {
   w.u8(c.refuge_index);
   w.u8(1);
   w.u8(c.kind);
-  w.u32(0);
-  w.u32(0);
+  w.u32(c.place_district);
+  w.u32(c.place_county);
   w.f64(0.0);
   w.f64(0.0);
   w.f64(1.0);
@@ -163,6 +172,10 @@ std::vector<std::uint8_t> crafted(const Craft& c) {
   w.u32(1);
   w.i64(0);
   w.u64(c.detector_sites);
+  w.u32(c.detector_site);
+  w.f64(1.0);
+  w.u32(c.detector_district);
+  w.u32(c.detector_county);
   w.f64(0.0);
   w.u8(0);
   w.f64(0.0);
@@ -175,13 +188,14 @@ TEST(RunState, RefusesOutOfRangeRecords) {
     RunState state = fresh();
     ASSERT_NO_THROW(restore(state, crafted({})));
     EXPECT_EQ(state.user_places[2].size(), 2u);
+    EXPECT_EQ(state.home_detector.save_state().size(), 1u);
   }
   const auto refused = [](const char* what, const Craft& craft) {
     SCOPED_TRACE(what);
     RunState state = fresh();
     const std::vector<std::uint8_t> bytes = crafted(craft);
     BlobReader r{bytes};
-    EXPECT_THROW(state.restore(r), BlobError);
+    EXPECT_THROW(state.restore(r, kBounds), BlobError);
   };
   refused("another population", {.users = kUsers + 1});
   refused("appended-place user beyond the population",
@@ -194,6 +208,50 @@ TEST(RunState, RefusesOutOfRangeRecords) {
           {.detector_users = std::uint64_t{1} << 40});
   refused("detector site count beyond the record",
           {.detector_sites = std::uint64_t{1} << 40});
+  // Substrate ids, each one past its range: the simulator would index the
+  // geography or topology with them.
+  refused("appended-place district beyond the geography",
+          {.place_district = kBounds.districts});
+  refused("appended-place county beyond the geography",
+          {.place_county = kBounds.counties});
+  refused("detector site beyond the topology",
+          {.detector_site = kBounds.sites});
+  refused("detector district beyond the geography",
+          {.detector_district = kBounds.districts});
+  refused("detector county beyond the geography",
+          {.detector_county = kBounds.counties});
+}
+
+TEST(RunState, FinalizeHomesReleasesTheDetector) {
+  RunState state = evolved();
+  // User 1 sleeps at site 9 for 14 nights: one home; user 3 stays a
+  // candidate below the threshold.
+  for (SimDay day = 0; day < 14; ++day) {
+    telemetry::UserDayObservation night;
+    night.user = UserId{1};
+    night.day = day;
+    night.stays.push_back({});
+    night.stays.back().site = SiteId{9};
+    night.stays.back().district = PostcodeDistrictId{6};
+    night.stays.back().county = CountyId{1};
+    night.stays.back().night_hours = 7.0f;
+    state.home_detector.observe(night);
+  }
+  ASSERT_EQ(state.home_detector.stats().candidates, 2u);
+  const std::vector<analysis::HomeRecord> homes = state.finalize_homes();
+  EXPECT_TRUE(state.homes_finalized);
+  ASSERT_EQ(homes.size(), 1u);
+  EXPECT_EQ(homes[0].user, UserId{1});
+  EXPECT_EQ(homes[0].home_site, SiteId{9});
+  EXPECT_EQ(homes[0].nights_observed, 14);
+
+  const analysis::HomeDetectionStats stats = state.home_detector.stats();
+  EXPECT_EQ(stats.candidates, 0u);
+  EXPECT_EQ(stats.resolved, 0u);
+  EXPECT_EQ(stats.below_threshold, 0u);
+  EXPECT_TRUE(state.home_detector.save_state().empty());
+  EXPECT_TRUE(state.home_detector.finalize().empty());
+  EXPECT_EQ(state.home_detector.params().end_day, 21);
 }
 
 }  // namespace

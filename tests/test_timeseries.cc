@@ -39,6 +39,17 @@ TEST(DailySeries, OutOfRangeQueriesAreSafe) {
   EXPECT_EQ(s.count(11), 0u);
 }
 
+TEST(DailySeries, WritesOutsideTheWindowThrow) {
+  DailySeries s{5, 10};
+  EXPECT_THROW(s.set(4, 1.0), std::out_of_range);
+  EXPECT_THROW(s.set(11, 1.0), std::out_of_range);
+  EXPECT_THROW(s.add(-1, 1.0), std::out_of_range);
+  EXPECT_THROW(s.add(11, 1.0), std::out_of_range);
+  for (SimDay d = 5; d <= 10; ++d) EXPECT_FALSE(s.has(d));
+  s.set(10, 2.0);
+  EXPECT_DOUBLE_EQ(s.value(10), 2.0);
+}
+
 TEST(DailySeries, ValueThrowsOnMissingDay) {
   DailySeries s{5, 10};
   s.set(6, 2.0);
