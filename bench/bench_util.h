@@ -55,6 +55,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/atomic_file.h"
 #include "common/table.h"
 #include "common/timeseries.h"
@@ -284,6 +288,13 @@ inline void write_obs_outputs(const std::string& slug,
 // writes the store for next time. Replay is bitwise-identical to the
 // simulation it replaces (test_store_replay), so cached benches print the
 // exact same figures.
+//
+// A simulated run hands its KPI rows to the store as it goes, so the
+// Dataset it returns holds none. The figures need them: read the store
+// just written back (silently; the replay banner marks a cache hit only)
+// and carry over the run's own bookkeeping, which the store does not
+// keep. A read-back that is not complete is an error, never a Dataset
+// without rows.
 inline sim::Dataset load_or_run(const sim::ScenarioConfig& config) {
   store::StoreRunOptions options;
   if (const char* crash = std::getenv("CELLSCOPE_CRASH_AT_DAY")) {
@@ -317,7 +328,30 @@ inline sim::Dataset load_or_run(const sim::ScenarioConfig& config) {
   if (outcome.status == store::ReadOutcome::Status::kDegraded)
     std::cout << "(cellstore " << dir << " degraded — " << outcome.error
               << "; re-simulating)\n";
-  return store::simulate_to_store(config, dir, options);
+  sim::Dataset::RunRecovery recovery;
+  audit::AuditReport audit_report;
+  {
+    sim::Dataset run = store::simulate_to_store(config, dir, options);
+    recovery = run.recovery;
+    audit_report = std::move(run.audit_report);
+  }
+#if defined(__GLIBC__)
+  // The run's per-user state went back to the pool workers' malloc arenas,
+  // where the read-back on this thread cannot reuse it: return those pages
+  // first, or the read-back stacks a second substrate and every row on top
+  // of them (at 400k that set the bench's peak RSS, 754 instead of 602
+  // MiB).
+  malloc_trim(0);
+#endif
+  auto written = store::read_dataset(dir, config);
+  if (!written.complete())
+    throw std::runtime_error("cellstore " + dir +
+                             " did not read back complete after the run "
+                             "wrote it: " + written.error);
+  sim::Dataset data = std::move(*written.dataset);
+  data.recovery = recovery;
+  data.audit_report = std::move(audit_report);
+  return data;
 }
 
 // One figure run plus the cellstore (if any) that backs it. When store_dir

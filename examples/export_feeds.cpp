@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     analysis::export_signaling_csv(os, data.signaling);
   });
 
-  std::cout << "done: " << data.kpis.records().size()
+  std::cout << "done: " << data.kpis.row_count()
             << " KPI rows across " << data.topology->lte_cells().size()
             << " cells (store: " << store_dir << ").\n";
   return 0;

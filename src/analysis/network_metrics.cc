@@ -93,11 +93,22 @@ CellGrouping group_by_rat(const radio::RadioTopology& topology) {
 KpiGroupSeries::KpiGroupSeries(const telemetry::KpiStore& store,
                                const CellGrouping& grouping,
                                telemetry::KpiMetric metric,
+                               CellReduction reduction)
+    : KpiGroupSeries(std::span{store.records()}, grouping, metric,
+                     reduction) {}
+
+KpiGroupSeries::KpiGroupSeries(std::span<const telemetry::CellDayRecord> rows,
+                               const CellGrouping& grouping,
+                               telemetry::KpiMetric metric,
                                CellReduction reduction) {
-  if (store.empty()) return;
-  KpiGroupSeriesBuilder builder{grouping, store.first_day(), store.last_day(),
+  if (rows.empty()) return;
+  const auto [earliest, latest] = std::minmax_element(
+      rows.begin(), rows.end(),
+      [](const telemetry::CellDayRecord& a,
+         const telemetry::CellDayRecord& b) { return a.day < b.day; });
+  KpiGroupSeriesBuilder builder{grouping, earliest->day, latest->day,
                                 reduction};
-  for (const auto& record : store.records())
+  for (const auto& record : rows)
     builder.add(record.day, record.cell.value(),
                 telemetry::kpi_value(record, metric));
   *this = builder.finish();

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,10 @@ class KpiGroupSeries {
   // Builds from the full KPI store; records must be day-ordered (KpiStore
   // guarantees this).
   KpiGroupSeries(const telemetry::KpiStore& store,
+                 const CellGrouping& grouping, telemetry::KpiMetric metric,
+                 CellReduction reduction = CellReduction::kMedian);
+  // The same over any day-ordered rows, covering their day range.
+  KpiGroupSeries(std::span<const telemetry::CellDayRecord> rows,
                  const CellGrouping& grouping, telemetry::KpiMetric metric,
                  CellReduction reduction = CellReduction::kMedian);
 

@@ -174,10 +174,10 @@ void check_voice_day(const traffic::VoiceDayCalls& day, AuditReport& report) {
   }
 }
 
-void check_kpi_aggregation(const telemetry::KpiStore& kpis,
+void check_kpi_aggregation(std::span<const telemetry::CellDayRecord> rows,
                            const analysis::CellGrouping& partition,
                            AuditReport& report) {
-  if (kpis.empty()) return;
+  if (rows.empty()) return;
   const telemetry::KpiMetric metrics[] = {
       telemetry::KpiMetric::kDlVolume,
       telemetry::KpiMetric::kConnectedUsers,
@@ -185,7 +185,7 @@ void check_kpi_aggregation(const telemetry::KpiStore& kpis,
   };
   const std::size_t groups = partition.group_count();
   for (const telemetry::KpiMetric metric : metrics) {
-    const analysis::KpiGroupSeries reduced(kpis, partition, metric,
+    const analysis::KpiGroupSeries reduced(rows, partition, metric,
                                            analysis::CellReduction::kSum);
     std::vector<double> direct(groups, 0.0);
     std::vector<std::uint64_t> cells(groups, 0);
@@ -215,8 +215,8 @@ void check_kpi_aggregation(const telemetry::KpiStore& kpis,
         cells[g] = 0;
       }
     };
-    SimDay current = kpis.first_day();
-    for (const telemetry::CellDayRecord& row : kpis.records()) {
+    SimDay current = rows.front().day;
+    for (const telemetry::CellDayRecord& row : rows) {
       if (row.day != current) {
         flush(current);
         current = row.day;
@@ -453,9 +453,7 @@ void check_checkpoint_consistency(SimDay resumed_from_day,
 
   // Each final ledger's prefix (days <= resume day) must equal what the
   // restore produced — integer counts, so equality is exact.
-  std::uint64_t kpi_rows = 0;
-  for (const auto& r : kpis.records())
-    if (r.day <= resumed_from_day) ++kpi_rows;
+  const std::uint64_t kpi_rows = kpis.rows_through(resumed_from_day);
   report.add_checks(kLaw);
   if (kpi_rows != recorded_kpi_rows) {
     report.add_violation({kLaw, "kpis / " + subject,

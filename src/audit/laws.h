@@ -73,9 +73,9 @@ struct MetricBounds {
 };
 [[nodiscard]] MetricBounds bounds_for(const radio::RadioTopology& topology);
 
-// --- Per-day checks (kpi-partition, kpi-range): run in-process after each
-// simulated day, and per stored day by the post-hoc auditor. `rows` is one
-// day's KPI feed output.
+// --- Per-day checks (kpi-partition, kpi-range, and kpi-aggregation
+// below): run in-process after each simulated day, and per stored day by
+// the post-hoc auditor. `rows` is one day's KPI feed output.
 void check_kpi_day(SimDay day, std::span<const telemetry::CellDayRecord> rows,
                    const analysis::CellGrouping& partition,
                    const MetricBounds& bounds, AuditReport& report);
@@ -84,16 +84,19 @@ void check_kpi_day(SimDay day, std::span<const telemetry::CellDayRecord> rows,
 // lives in check_voice_accounting).
 void check_voice_day(const traffic::VoiceDayCalls& day, AuditReport& report);
 
-// --- Whole-run checks.
-
 // kpi-aggregation: KpiGroupSeries (kSum reduction, a mean*count float path)
 // vs direct sums over the raw rows, per day per region, within a relative
 // tolerance of 1e-9 — the two paths reduce in different orders, so bitwise
 // equality is not required, but anything beyond rounding is a lost or
-// double-counted cell.
-void check_kpi_aggregation(const telemetry::KpiStore& kpis,
+// double-counted cell. Each day is checked on its own, so the in-process
+// hook runs it per day on the rows a day delivers (a streaming run keeps
+// no others), and the post-hoc auditor per stored day. `rows` run in store
+// order; a day split into two runs is reported, not merged.
+void check_kpi_aggregation(std::span<const telemetry::CellDayRecord> rows,
                            const analysis::CellGrouping& partition,
                            AuditReport& report);
+
+// --- Whole-run checks.
 
 void check_voice_accounting(const traffic::VoiceCallLedger& ledger,
                             AuditReport& report);

@@ -8,10 +8,7 @@ namespace cellscope::sim {
 
 void audit_dataset_global(const Dataset& ds, audit::AuditReport& report) {
   const audit::MetricBounds bounds = audit::bounds_for(*ds.topology);
-  const analysis::CellGrouping partition =
-      audit::region_partition(*ds.topology);
 
-  audit::check_kpi_aggregation(ds.kpis, partition, report);
   audit::check_voice_accounting(ds.voice_calls, report);
   audit::check_quality_closure(ds.quality, report);
   audit::check_signaling_balance(ds.signaling, report);
@@ -52,18 +49,18 @@ audit::AuditReport audit_dataset(const Dataset& ds) {
   const analysis::CellGrouping partition =
       audit::region_partition(*ds.topology);
 
-  // Per-day KPI checks over the stored rows (day-ordered runs).
+  // Per-day KPI checks over the stored rows (day-ordered runs), as the
+  // closer runs them in-process.
   const auto& records = ds.kpis.records();
   std::size_t begin = 0;
   while (begin < records.size()) {
     std::size_t end = begin;
     while (end < records.size() && records[end].day == records[begin].day)
       ++end;
-    audit::check_kpi_day(
-        records[begin].day,
-        std::span<const telemetry::CellDayRecord>{records.data() + begin,
-                                                  end - begin},
-        partition, bounds, report);
+    const std::span<const telemetry::CellDayRecord> day{
+        records.data() + begin, end - begin};
+    audit::check_kpi_day(records[begin].day, day, partition, bounds, report);
+    audit::check_kpi_aggregation(day, partition, report);
     begin = end;
   }
 

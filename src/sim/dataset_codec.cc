@@ -52,7 +52,7 @@ bool DatasetDecoder::close(Section section) {
 }
 
 bool DatasetDecoder::complete() const {
-  return ds_.kpis.records().size() == scalar(kKpiRowCount).second &&
+  return ds_.kpis.row_count() == scalar(kKpiRowCount).second &&
          ds_.homes.size() == scalar(kHomeRowCount).second &&
          ds_.signaling.days().size() == scalar(kSignalingDayCount).second &&
          ds_.voice_calls.days().size() == scalar(kVoiceDayCount).second;

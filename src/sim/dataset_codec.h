@@ -191,7 +191,12 @@ void encode_section(Section section, const Dataset& ds, W& w,
   };
   switch (section) {
     case Section::kKpis:
-      for (const auto& r : dated(ds.kpis.records())) encode_kpi_row(r, w);
+      // A checkpoint record reads its day from the rows a streaming run
+      // still holds; the store needs every row, which a released store
+      // refuses to pretend it has.
+      for (const auto& r : only_day ? dated(ds.kpis.retained())
+                                    : std::span{ds.kpis.records()})
+        encode_kpi_row(r, w);
       return;
     case Section::kSignaling:
       for (const auto& d : dated(ds.signaling.days())) {
@@ -299,7 +304,7 @@ void encode_section(Section section, const Dataset& ds, W& w,
       put(kFitRSquared, v.fit.r_squared, 0);
       put(kFitN, 0.0, v.fit.n);
       put(kExpectedMarketShare, v.expected_market_share, 0);
-      put(kKpiRowCount, 0.0, ds.kpis.records().size());
+      put(kKpiRowCount, 0.0, ds.kpis.row_count());
       put(kHomeRowCount, 0.0, ds.homes.size());
       put(kSignalingDayCount, 0.0, ds.signaling.days().size());
       put(kVoiceDayCount, 0.0, ds.voice_calls.days().size());

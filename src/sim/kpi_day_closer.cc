@@ -46,6 +46,13 @@ void KpiDayCloser::restore(const RunState& state) {
     interconnect_.calibrate(std::max(state.week9_busy_hour_minutes, 1.0));
 }
 
+void KpiDayCloser::audit_day(SimDay day,
+                             std::span<const telemetry::CellDayRecord> rows,
+                             audit::AuditReport& report) const {
+  audit::check_kpi_day(day, rows, audit_partition_, audit_bounds_, report);
+  audit::check_kpi_aggregation(rows, audit_partition_, report);
+}
+
 void KpiDayCloser::begin_day(SimDay day) {
   day_ = day;
   // The grid needs no reset: close() zeroes every cell's slots as it reads
@@ -193,9 +200,7 @@ std::uint64_t KpiDayCloser::close(RunState& state, Dataset& ds,
   // The audit sees what the feed delivered: conservation must hold over a
   // degraded feed too, since a duplicated row lands on both sides of every
   // sum.
-  if (config_.audit)
-    audit::check_kpi_day(day, rows, audit_partition_, audit_bounds_,
-                         ds.audit_report);
+  if (config_.audit) audit_day(day, rows, ds.audit_report);
   if (sink != nullptr && !rows.empty()) sink->on_kpi_day(day, rows);
   const std::uint64_t n_rows = rows.size();
   ds.kpis.add_day(std::move(rows));

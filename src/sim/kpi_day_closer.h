@@ -15,8 +15,9 @@
 //   3. schedules every collected cell-hour through the LTE scheduler and
 //      reduces each cell to its daily row, over fixed cell chunks on the
 //      run's WorkerPool;
-//   4. applies the warehouse-export faults, audits the delivered rows,
-//      streams them to the sink and appends them to Dataset::kpis.
+//   4. applies the warehouse-export faults, audits the delivered rows
+//      (every per-day KPI law, kpi-aggregation included), streams them to
+//      the sink and appends them to Dataset::kpis.
 //
 // Step 3 is the only fan-out. A cell's hours depend only on its own load
 // slots and the day's per-hour trunk loss; each work item records a cell's
@@ -29,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/aggregation.h"
@@ -80,6 +82,13 @@ class KpiDayCloser {
   // Re-derives the interconnect's capacity from a resumed run's state (a
   // pure function of its calibration scalar).
   void restore(const RunState& state);
+
+  // The per-day KPI laws (kpi-partition, kpi-range, kpi-aggregation) over
+  // one day's delivered rows, into `report`. close() runs them on every day
+  // it closes; a resumed run runs them on every restored day, since the
+  // audit report is not checkpointed. Only for an audited run.
+  void audit_day(SimDay day, std::span<const telemetry::CellDayRecord> rows,
+                 audit::AuditReport& report) const;
 
   // The number of collected cells, and `cell`'s position among them in
   // ascending id order (kNotCollected if the day does not collect it).

@@ -375,24 +375,29 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     start_day = checkpoint->resume_day() + 1;
     ds.recovery.resumed = true;
     ds.recovery.resumed_from_day = checkpoint->resume_day();
-    ds.recovery.checkpoint_kpi_rows = ds.kpis.records().size();
+    ds.recovery.checkpoint_kpi_rows = ds.kpis.row_count();
     ds.recovery.checkpoint_voice_attempts = ds.voice_calls.total_attempts();
     ds.recovery.checkpoint_signaling_days = ds.signaling.days().size();
 
-    // Re-stream the restored KPI days through the sink in their original
-    // day batches: a streaming store sees the exact row sequence of the
-    // uninterrupted run, so its bytes come out identical.
-    if (sink != nullptr) {
+    // Walk the restored KPI days in their original day batches. The audit
+    // report is not checkpointed, so an audited run checks each day here
+    // as the closer did when it closed. The sink is re-sent each day, so a
+    // streaming store sees the exact row sequence of the uninterrupted run
+    // and its bytes come out identical; the sink owns them from here on.
+    if (sink != nullptr || audit_on) {
       const auto& records = ds.kpis.records();
       std::size_t lo = 0;
       while (lo < records.size()) {
         std::size_t hi = lo;
         while (hi < records.size() && records[hi].day == records[lo].day) ++hi;
-        sink->on_kpi_day(records[lo].day,
-                         std::span<const telemetry::CellDayRecord>{
-                             records.data() + lo, hi - lo});
+        const std::span<const telemetry::CellDayRecord> rows{
+            records.data() + lo, hi - lo};
+        if (audit_on)
+          kpi_closer.audit_day(records[lo].day, rows, ds.audit_report);
+        if (sink != nullptr) sink->on_kpi_day(records[lo].day, rows);
         lo = hi;
       }
+      if (sink != nullptr) ds.kpis.release_rows();
     }
   }
   // Homes and validation go into the record of the day they finalize only.
@@ -835,8 +840,10 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
         registry.add(m_cells,
                      kpi_closer.counters().cells_scheduled - cells_before);
         registry.add(m_kpi_rows, day_rows);
-        obs::track_bytes(obs::Subsystem::kSim,
-                         day_rows * sizeof(telemetry::CellDayRecord));
+        // Only rows the Dataset keeps: a sink run hands them over below.
+        if (sink == nullptr)
+          obs::track_bytes(obs::Subsystem::kSim,
+                           day_rows * sizeof(telemetry::CellDayRecord));
       }
     }
 
@@ -869,6 +876,9 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
         obs::timeline().record_checkpoint_ms(ckpt_ms);
       }
     }
+    // The sink and the day's record hold the day's KPI rows now, so a sink
+    // run lets go of them: the Dataset keeps their counts only.
+    if (sink != nullptr) ds.kpis.release_rows();
     // Day-boundary health sample, after the checkpoint so its latency is
     // this day's, not the previous one's. Reads clocks, /proc and counters
     // only — a sampled run stays bit-identical to an unsampled one.

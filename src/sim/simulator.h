@@ -20,7 +20,8 @@
 // own. The returned Dataset is bit-identical for any worker_threads
 // setting.
 //
-// The returned Dataset owns everything a bench or example reads.
+// The returned Dataset owns everything a bench or example reads, except
+// the KPI rows of a run with a DatasetSink: those belong to the sink.
 #pragma once
 
 #include <memory>
@@ -150,9 +151,10 @@ struct Dataset {
 // Streaming hook for feed consumers that want rows as they are produced
 // (the on-disk store in src/store implements this). The simulator calls
 // on_kpi_day() once per collected KPI day, in day order, with the day's
-// finalized cell-day rows — the same rows that are about to enter
-// Dataset::kpis — so a sink can persist the dominant feed incrementally
-// with bounded memory instead of walking the finished Dataset.
+// finalized cell-day rows, so a sink can persist the dominant feed
+// incrementally with bounded memory instead of walking the finished
+// Dataset. The sink owns those rows: the run keeps each day only until
+// its checkpoint record is encoded, and Dataset::kpis keeps their counts.
 class DatasetSink {
  public:
   virtual ~DatasetSink() = default;
@@ -172,7 +174,9 @@ class Simulator {
   explicit Simulator(ScenarioConfig config);
 
   // Runs the whole window and returns the populated dataset. A non-null
-  // sink receives feed rows as days complete. A non-null checkpoint makes
+  // sink receives feed rows as days complete and takes them over: the
+  // returned kpis hold the row count and day range, no rows (see
+  // telemetry::KpiStore::release_rows). A non-null checkpoint makes
   // the run resumable: its saved state (if any) fast-forwards the run to
   // the first incomplete day — with restored KPI days re-streamed through
   // `sink` first, so a streaming store ends up byte-identical — and every

@@ -121,6 +121,14 @@ void DatasetWriter::on_kpi_day(SimDay day,
 WriteStats DatasetWriter::finish(const sim::Dataset& ds) {
   if (impl_->finished)
     throw std::logic_error("DatasetWriter: finish() called twice");
+  // The KPI feed is the rows streamed here, or else the Dataset's own. A
+  // Dataset whose rows went to another sink has neither: refuse it before
+  // anything publishes, rather than an empty feed under a count of N.
+  if (impl_->streamed_rows == 0 ? ds.kpis.released()
+                                : impl_->streamed_rows != ds.kpis.row_count())
+    throw std::logic_error(
+        "DatasetWriter: the dataset's KPI rows were not streamed through "
+        "this writer and are no longer held");
   impl_->finished = true;
 
   const auto span = obs::tracer().span("store.flush", "store");

@@ -63,8 +63,11 @@ class DatasetWriter final : public sim::DatasetSink {
                   std::span<const telemetry::CellDayRecord> rows) override;
 
   // Writes every non-streamed feed plus the manifest and closes all files.
-  // KPI rows not already streamed through on_kpi_day() are written from
-  // `ds.kpis` here, so finish() alone serializes a materialized dataset.
+  // When no KPI rows were streamed through on_kpi_day(), they are written
+  // from `ds.kpis` here, so finish() alone serializes a materialized
+  // dataset. Throws std::logic_error, publishing nothing, when the KPI
+  // rows are in neither place (a Dataset whose rows another sink took
+  // over) or the streamed count disagrees with ds.kpis.row_count().
   WriteStats finish(const sim::Dataset& ds);
 
  private:
@@ -84,7 +87,11 @@ struct StoreRunOptions {
 };
 
 // Runs the scenario with a DatasetWriter attached: the store is written
-// while the simulation runs, and the materialized dataset is returned.
+// while the simulation runs, and the run's Dataset is returned with its
+// KPI rows released (the store owns them: ds.kpis keeps the row count, the
+// day range and the per-day counts, and records() throws). Every other
+// field is the run's. Read the store back (read_dataset) or scan it
+// (scan.h) for the rows.
 //
 // The run is crash-safe (docs/RECOVERY.md): a digest-keyed day-granular
 // checkpoint (store/checkpoint.h) rides in `dir`, so a killed or

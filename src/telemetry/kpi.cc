@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 
@@ -55,54 +56,48 @@ CellDayRecord CellDaySamples::reduce(CellId cell, SimDay day,
   return row;
 }
 
-KpiAggregator::KpiAggregator(std::size_t cell_count, DailyReduction reduction)
-    : reduction_(reduction), cells_(cell_count) {}
-
-void KpiAggregator::begin_day(SimDay day) {
-  if (day_open_)
-    throw std::logic_error("KpiAggregator: previous day not finished");
-  day_ = day;
-  day_open_ = true;
-  // A cell's samples are read only up to its recorded hours, so resetting
-  // the counts is enough; stale samples beyond them are never seen.
-  for (auto& cell : cells_) cell.hours = 0;
-}
-
-void KpiAggregator::record_hour(CellId cell, const radio::CellHourKpi& kpi) {
-  assert(day_open_);
-  assert(cell.value() < cells_.size());
-  cells_[cell.value()].record(kpi);
-}
-
-std::vector<CellDayRecord> KpiAggregator::finish_day() {
-  if (!day_open_)
-    throw std::logic_error("KpiAggregator: no day in progress");
-  std::vector<CellDayRecord> rows;
-  rows.reserve(cells_.size());
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    if (cells_[c].hours == 0) continue;
-    rows.push_back(cells_[c].reduce(CellId{static_cast<std::uint32_t>(c)},
-                                    day_, reduction_));
-  }
-  day_open_ = false;
-  return rows;
-}
-
 void KpiStore::add_day(std::vector<CellDayRecord> rows) {
   if (rows.empty()) return;
-  const auto [earliest, latest] = std::minmax_element(
-      rows.begin(), rows.end(),
-      [](const CellDayRecord& a, const CellDayRecord& b) {
-        return a.day < b.day;
-      });
-  if (!records_.empty() && earliest->day <= last_day_) {
+  std::vector<SimDay> days(rows.size());
+  std::transform(rows.begin(), rows.end(), days.begin(),
+                 [](const CellDayRecord& r) { return r.day; });
+  std::sort(days.begin(), days.end());
+  if (!empty() && days.front() <= last_day()) {
     // Gaps are allowed (real exports can miss days); going backwards or
     // splitting one day across add_day calls is a bug.
     throw std::logic_error("KpiStore: days must be added in increasing order");
   }
-  if (records_.empty()) first_day_ = earliest->day;
-  last_day_ = latest->day;
-  records_.insert(records_.end(), rows.begin(), rows.end());
+
+  // Per-day counts. A run's batch is one day; an import's may hold several,
+  // all of them after every day already counted.
+  std::uint64_t total = row_count();
+  for (std::size_t i = 0; i < days.size(); ++i) {
+    ++total;
+    if (i + 1 == days.size() || days[i + 1] != days[i])
+      through_.emplace_back(days[i], total);
+  }
+
+  if (records_.empty()) {
+    records_ = std::move(rows);
+  } else {
+    records_.insert(records_.end(), rows.begin(), rows.end());
+  }
+}
+
+const std::vector<CellDayRecord>& KpiStore::records() const {
+  if (released())
+    throw std::logic_error(
+        "KpiStore: rows were released to a sink; read them from the store");
+  return records_;
+}
+
+std::uint64_t KpiStore::rows_through(SimDay day) const {
+  const auto after = std::upper_bound(
+      through_.begin(), through_.end(), day,
+      [](SimDay d, const std::pair<SimDay, std::uint64_t>& entry) {
+        return d < entry.first;
+      });
+  return after == through_.begin() ? 0 : std::prev(after)->second;
 }
 
 }  // namespace cellscope::telemetry

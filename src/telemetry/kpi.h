@@ -2,14 +2,16 @@
 //
 // Section 2.4: KPIs are collected hourly per 4G cell, then "aggregate[d]
 // per day [by extracting] the (hourly) median value per cell", giving one
-// value per metric per cell per day. KpiAggregator implements exactly that
+// value per metric per cell per day. CellDaySamples implements exactly that
 // reduction (with the mean available as the documented ablation), and
 // KpiStore holds the resulting daily records for the analysis layer.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -73,12 +75,13 @@ enum class DailyReduction : std::uint8_t {
   kMean,        // ablation (DESIGN.md Section 5)
 };
 
-// One cell's hourly KPI samples over a day, in record order: the block
-// KpiAggregator keeps per cell and the KPI day close keeps per work item.
-// reduce() is the one per-cell daily reduction both use.
+// One cell's hourly KPI samples over a day, in record order: the block the
+// KPI day close keeps per work item. reduce() is the one per-cell daily
+// reduction.
 struct CellDaySamples {
   // [metric][k]: the metric's value in the k-th recorded hour. Only the
-  // first `hours` entries of each metric are ever read.
+  // first `hours` entries of each metric are ever read, so setting `hours`
+  // to 0 starts a new day.
   std::array<double, kKpiMetricCount * kHoursPerDay> values;
   int hours = 0;
 
@@ -90,45 +93,56 @@ struct CellDaySamples {
                                      DailyReduction reduction) const;
 };
 
-class KpiAggregator {
- public:
-  // `cell_count` indexes cells densely by CellId value.
-  KpiAggregator(std::size_t cell_count,
-                DailyReduction reduction = DailyReduction::kMedian);
-
-  void begin_day(SimDay day);
-  void record_hour(CellId cell, const radio::CellHourKpi& kpi);
-  // Reduces the open day's hourly samples to one CellDayRecord per cell,
-  // in cell order, and closes the day. Cells with no recorded hours
-  // produce no row (not monitored today, e.g. legacy RATs).
-  [[nodiscard]] std::vector<CellDayRecord> finish_day();
-
- private:
-  DailyReduction reduction_;
-  SimDay day_ = 0;
-  bool day_open_ = false;
-  std::vector<CellDaySamples> cells_;  // by CellId value
-};
-
 // All cell-day rows of the analysis window, with lookup helpers.
+//
+// Each row has one owner. A run that streams its rows to a store hands
+// each day over and then calls release_rows(): the store keeps the row
+// count, the day range and the per-day counts, but no rows. Everything
+// else (imports, store reads, sinkless runs) keeps every row.
 class KpiStore {
  public:
-  // Appends one day's rows. first_day()/last_day() cover every row of the
-  // batch. Throws std::logic_error, adding nothing, when the batch's
-  // earliest day is not after the stored last day.
+  // Appends one batch of rows: one day in a run, any days in an import.
+  // first_day()/last_day() cover every row of the batch. Throws
+  // std::logic_error, adding nothing, when the batch's earliest day is not
+  // after the stored last day, released rows included.
   void add_day(std::vector<CellDayRecord> rows);
 
-  [[nodiscard]] const std::vector<CellDayRecord>& records() const {
+  // Every row, in add order. Throws std::logic_error once rows were
+  // released: a released store must never read as an empty or short feed.
+  [[nodiscard]] const std::vector<CellDayRecord>& records() const;
+  // The rows added since the last release_rows() (every row before one).
+  [[nodiscard]] std::span<const CellDayRecord> retained() const {
     return records_;
   }
-  [[nodiscard]] bool empty() const { return records_.empty(); }
-  [[nodiscard]] SimDay first_day() const { return first_day_; }
-  [[nodiscard]] SimDay last_day() const { return last_day_; }
+  // Frees the retained rows. Counts and the day range stay, and later
+  // batches are held until the next release.
+  void release_rows() { records_ = {}; }
+  [[nodiscard]] bool released() const {
+    return row_count() > records_.size();
+  }
+
+  // Rows ever added, released or not.
+  [[nodiscard]] std::uint64_t row_count() const {
+    return through_.empty() ? 0 : through_.back().second;
+  }
+  // Rows ever added whose day is at or before `day`.
+  [[nodiscard]] std::uint64_t rows_through(SimDay day) const;
+
+  // These describe every row ever added, released or not; an empty store's
+  // range is [0, -1].
+  [[nodiscard]] bool empty() const { return through_.empty(); }
+  [[nodiscard]] SimDay first_day() const {
+    return empty() ? 0 : through_.front().first;
+  }
+  [[nodiscard]] SimDay last_day() const {
+    return empty() ? -1 : through_.back().first;
+  }
 
  private:
   std::vector<CellDayRecord> records_;
-  SimDay first_day_ = 0;
-  SimDay last_day_ = -1;
+  // (day, rows through that day), one entry per day that has rows,
+  // ascending by day.
+  std::vector<std::pair<SimDay, std::uint64_t>> through_;
 };
 
 }  // namespace cellscope::telemetry

@@ -1,14 +1,15 @@
 // Bit-level Dataset comparison helpers, shared between the thread-matrix
-// determinism suite (test_determinism.cc) and the store replay suite
-// (test_store_replay.cc). Both enforce the same contract — two Datasets
-// must match on EVERY field at the bit level, float fields included — so
-// the comparison lives in one place.
+// determinism suite (test_determinism.cc), the store replay suite
+// (test_store_replay.cc) and the store tests. All enforce the same
+// contract — two Datasets must match on EVERY field at the bit level,
+// float fields included — so the comparison lives in one place.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "sim/simulator.h"
@@ -94,11 +95,45 @@ inline void expect_quality_identical(const telemetry::FeedQualityReport& a,
   }
 }
 
-// Every Dataset field, bit for bit. Substrate (geography/population/
-// topology/policy) is built serially before the day loop from the same
-// seed, so it is covered transitively: a divergent substrate would diverge
-// everything below.
-inline void expect_datasets_identical(const Dataset& a, const Dataset& b) {
+// Two runs' KPI rows: every field of every record, in order.
+inline void expect_kpi_rows_identical(
+    std::span<const telemetry::CellDayRecord> a,
+    std::span<const telemetry::CellDayRecord> b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto& ra = a[i];
+    const auto& rb = b[i];
+    ASSERT_EQ(ra.cell, rb.cell) << i;
+    ASSERT_EQ(ra.day, rb.day) << i;
+    for (int m = 0; m < telemetry::kKpiMetricCount; ++m) {
+      EXPECT_BITS_EQ(
+          telemetry::kpi_value(ra, static_cast<telemetry::KpiMetric>(m)),
+          telemetry::kpi_value(rb, static_cast<telemetry::KpiMetric>(m)))
+          << "record " << i << " metric "
+          << telemetry::kpi_metric_name(static_cast<telemetry::KpiMetric>(m));
+    }
+  }
+}
+
+// What a KpiStore says about its rows, released or not: the row count,
+// the day range and every day's count.
+inline void expect_kpi_counts_identical(const telemetry::KpiStore& a,
+                                        const telemetry::KpiStore& b) {
+  EXPECT_EQ(a.row_count(), b.row_count());
+  ASSERT_EQ(a.empty(), b.empty());
+  if (a.empty()) return;
+  ASSERT_EQ(a.first_day(), b.first_day());
+  ASSERT_EQ(a.last_day(), b.last_day());
+  for (SimDay d = a.first_day(); d <= a.last_day(); ++d)
+    EXPECT_EQ(a.rows_through(d), b.rows_through(d)) << "KPI rows through " << d;
+}
+
+// Every Dataset field but the KPI rows themselves, bit for bit: a run with
+// a sink hands its rows over, so only their counts are compared here.
+// Substrate (geography/population/topology/policy) is built serially
+// before the day loop from the same seed, so it is covered transitively: a
+// divergent substrate would diverge everything below.
+inline void expect_run_fields_identical(const Dataset& a, const Dataset& b) {
   // Homes + Fig 2 validation.
   ASSERT_EQ(a.homes.size(), b.homes.size());
   for (std::size_t i = 0; i < a.homes.size(); ++i) {
@@ -158,21 +193,9 @@ inline void expect_datasets_identical(const Dataset& a, const Dataset& b) {
     }
   }
 
-  // Network KPI rows (Fig 8..12 inputs): every field of every record.
-  ASSERT_EQ(a.kpis.records().size(), b.kpis.records().size());
-  for (std::size_t i = 0; i < a.kpis.records().size(); ++i) {
-    const auto& ra = a.kpis.records()[i];
-    const auto& rb = b.kpis.records()[i];
-    ASSERT_EQ(ra.cell, rb.cell) << i;
-    ASSERT_EQ(ra.day, rb.day) << i;
-    for (int m = 0; m < telemetry::kKpiMetricCount; ++m) {
-      EXPECT_BITS_EQ(
-          telemetry::kpi_value(ra, static_cast<telemetry::KpiMetric>(m)),
-          telemetry::kpi_value(rb, static_cast<telemetry::KpiMetric>(m)))
-          << "record " << i << " metric "
-          << telemetry::kpi_metric_name(static_cast<telemetry::KpiMetric>(m));
-    }
-  }
+  // Network KPI rows (Fig 8..12 inputs): what the store says about them,
+  // whether it still holds them or not.
+  expect_kpi_counts_identical(a.kpis, b.kpis);
 
   // Signaling counters.
   ASSERT_EQ(a.signaling.days().size(), b.signaling.days().size());
@@ -210,6 +233,13 @@ inline void expect_datasets_identical(const Dataset& a, const Dataset& b) {
   expect_series_identical(a.roamers_active, b.roamers_active, "roamers");
   EXPECT_BITS_EQ(a.measured_lte_time_share, b.measured_lte_time_share);
   EXPECT_EQ(a.eligible_users, b.eligible_users);
+}
+
+// Every Dataset field, KPI rows included, bit for bit. Both Datasets must
+// hold their rows (KpiStore::records throws for a released one).
+inline void expect_datasets_identical(const Dataset& a, const Dataset& b) {
+  expect_run_fields_identical(a, b);
+  expect_kpi_rows_identical(a.kpis.records(), b.kpis.records());
 }
 
 }  // namespace cellscope::sim::testsupport

@@ -196,7 +196,7 @@ TEST(AuditMutation, SplitDayRunTripsKpiAggregationOnly) {
   second.voice_volume_mb = 1.0;
   kpis.add_day({first, clean_row(2, 6), second});
   AuditReport report;
-  check_kpi_aggregation(kpis, tiny_partition(), report);
+  check_kpi_aggregation(kpis.records(), tiny_partition(), report);
   EXPECT_GT(report.violations_for("kpi-aggregation"), 0u);
   EXPECT_EQ(report.violations().size(),
             report.violations_for("kpi-aggregation"));
@@ -207,7 +207,7 @@ TEST(AuditMutation, CleanKpiStorePassesAggregation) {
   kpis.add_day({clean_row(0, 5), clean_row(1, 5), clean_row(2, 5)});
   kpis.add_day({clean_row(0, 6), clean_row(2, 6)});
   AuditReport report;
-  check_kpi_aggregation(kpis, tiny_partition(), report);
+  check_kpi_aggregation(kpis.records(), tiny_partition(), report);
   EXPECT_TRUE(report.clean());
   EXPECT_GT(report.checks_for("kpi-aggregation"), 0u);
 }
@@ -413,6 +413,30 @@ std::string fresh_store(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "cellstore_audit_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+// A run that streams its KPI rows to a store keeps none of them, so the
+// in-process per-day hook is the only place kpi-aggregation sees them. It
+// must still check every day: as many checks as a sinkless run, and as
+// many as a post-hoc audit of the rows the store holds.
+TEST(AuditClean, SinkRunChecksEveryKpiDay) {
+  const sim::ScenarioConfig config = audited_smoke(7);
+  const sim::Dataset sinkless = sim::run_scenario(config);
+  const std::string dir = fresh_store("sink_run");
+  const sim::Dataset streamed = store::simulate_to_store(config, dir);
+  ASSERT_TRUE(streamed.kpis.released());
+  expect_clean_with_all_laws(streamed.audit_report);
+  for (const char* law : kDatasetLaws)
+    EXPECT_EQ(streamed.audit_report.checks_for(law),
+              sinkless.audit_report.checks_for(law))
+        << law;
+
+  const store::ReadOutcome stored = store::read_dataset(dir, config);
+  ASSERT_TRUE(stored.complete()) << stored.error;
+  const AuditReport post_hoc = sim::audit_dataset(*stored.dataset);
+  for (const char* law : kDatasetLaws)
+    EXPECT_EQ(post_hoc.checks_for(law), streamed.audit_report.checks_for(law))
+        << law;
 }
 
 TEST(AuditStore, PristineStoreReconciles) {

@@ -112,13 +112,22 @@ void expect_crash_resume_identical(const sim::ScenarioConfig& config,
 
   const sim::Dataset oneshot = simulate_to_store(config, ref_dir);
   EXPECT_FALSE(oneshot.recovery.resumed);
-  sim::testsupport::expect_datasets_identical(oneshot, resumed);
+  sim::testsupport::expect_run_fields_identical(oneshot, resumed);
   expect_dirs_byte_identical(ref_dir, crash_dir);
 
-  // And the resumed store replays complete.
+  // The store owns the KPI rows: the resume re-streamed the restored ones
+  // and released them, and counted them first.
+  EXPECT_TRUE(resumed.kpis.released());
+  EXPECT_TRUE(resumed.kpis.retained().empty());
+  EXPECT_EQ(resumed.recovery.checkpoint_kpi_rows,
+            oneshot.kpis.rows_through(resumed.recovery.resumed_from_day));
+
+  // And the resumed store replays complete, with a sinkless run's rows.
   const ReadOutcome outcome = read_dataset(crash_dir, config);
   ASSERT_EQ(outcome.status, ReadOutcome::Status::kOk) << outcome.error;
   EXPECT_TRUE(outcome.complete());
+  sim::testsupport::expect_datasets_identical(sim::run_scenario(config),
+                                              *outcome.dataset);
 }
 
 sim::ScenarioConfig faulted_config() {

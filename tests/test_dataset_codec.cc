@@ -309,7 +309,11 @@ TEST(DatasetCodec, OlderRunStateVersionStartsFresh) {
 
   const Dataset run = store::simulate_to_store(config, dir);
   EXPECT_FALSE(run.recovery.resumed);
-  testsupport::expect_datasets_identical(run_scenario(config), run);
+  const Dataset sinkless = run_scenario(config);
+  testsupport::expect_run_fields_identical(sinkless, run);
+  const store::ReadOutcome stored = store::read_dataset(dir, config);
+  ASSERT_EQ(stored.status, store::ReadOutcome::Status::kOk) << stored.error;
+  testsupport::expect_datasets_identical(sinkless, *stored.dataset);
 }
 
 }  // namespace

@@ -207,19 +207,21 @@ KpiDayCloser::DayLoad by_ordinal(const KpiDayCloser::DayLoad& load,
 }
 
 // The KPI day close as Simulator::run inlined it before the KpiDayCloser:
-// one serial scheduler, the aggregator's whole-day finish_day, and the
-// export faults, audit and sink on the same rows.
+// one serial scheduler, a whole-day sample block per cell reduced in cell
+// order, and the export faults, audit and sink on the same rows.
 struct InlineReference {
   explicit InlineReference(const ScenarioConfig& config,
                            const radio::RadioTopology& topology)
       : interconnect(config.interconnect),
-        aggregator(topology.cells().size(), config.kpi_reduction) {}
+        reduction(config.kpi_reduction),
+        samples(topology.cells().size()) {}
 
   traffic::VoiceInterconnect interconnect;
   radio::LteScheduler scheduler;
   radio::SchedulerCounters counters;
   std::uint64_t cells_scheduled = 0;
-  telemetry::KpiAggregator aggregator;
+  telemetry::DailyReduction reduction;
+  std::vector<telemetry::CellDaySamples> samples;  // by CellId value
 };
 
 void reference_close(const ScenarioConfig& config,
@@ -231,7 +233,7 @@ void reference_close(const ScenarioConfig& config,
   auto& hour_loads = load.cell_hours;
   const auto& offnet_minutes = load.offnet_minutes;
   const auto& voice_attempts_hour = load.voice_attempts;
-  ref.aggregator.begin_day(day);
+  for (auto& cell : ref.samples) cell.hours = 0;
 
   const int calibration_week = config.kpi_first_week;
   const double day_busy_hour =
@@ -297,10 +299,9 @@ void reference_close(const ScenarioConfig& config,
                                    static_cast<std::size_t>(h)];
       if (load_slot.active_dl_user_seconds > 0.0)
         load_slot.app_limited_dl_mbps /= load_slot.active_dl_user_seconds;
-      ref.aggregator.record_hour(
-          cell_id, ref.scheduler.schedule_hour(
-                       cell, load_slot, hour_loss[static_cast<std::size_t>(h)],
-                       &ref.counters));
+      ref.samples[cell_id.value()].record(ref.scheduler.schedule_hour(
+          cell, load_slot, hour_loss[static_cast<std::size_t>(h)],
+          &ref.counters));
     }
   };
   if (config.collect_legacy_kpis) {
@@ -312,11 +313,19 @@ void reference_close(const ScenarioConfig& config,
 
   const analysis::CellGrouping partition = audit::region_partition(topology);
   const audit::MetricBounds bounds = audit::bounds_for(topology);
-  auto day_records = ref.aggregator.finish_day();
+  // Cells with no recorded hours produce no row (dark, or not collected).
+  std::vector<telemetry::CellDayRecord> day_records;
+  for (std::size_t c = 0; c < ref.samples.size(); ++c) {
+    if (ref.samples[c].hours == 0) continue;
+    day_records.push_back(ref.samples[c].reduce(
+        CellId{static_cast<std::uint32_t>(c)}, day, ref.reduction));
+  }
   if (!faults_on) {
-    if (config.audit)
+    if (config.audit) {
       audit::check_kpi_day(day, day_records, partition, bounds,
                            ds.audit_report);
+      audit::check_kpi_aggregation(day_records, partition, ds.audit_report);
+    }
     if (sink != nullptr && !day_records.empty())
       sink->on_kpi_day(day, day_records);
     ds.kpis.add_day(std::move(day_records));
@@ -335,8 +344,10 @@ void reference_close(const ScenarioConfig& config,
   }
   ds.quality.expect("kpi-feed", day, cells_scheduled);
   ds.quality.observe("kpi-feed", day, observed);
-  if (config.audit)
+  if (config.audit) {
     audit::check_kpi_day(day, kept, partition, bounds, ds.audit_report);
+    audit::check_kpi_aggregation(kept, partition, ds.audit_report);
+  }
   if (sink != nullptr && !kept.empty()) sink->on_kpi_day(day, kept);
   ds.kpis.add_day(std::move(kept));
 }

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "sim/checkpoint.h"
 #include "sim/dataset_audit.h"
 #include "sim/simulator.h"
+#include "store/dataset_io.h"
 #include "support/dataset_compare.h"
 
 namespace cellscope::sim {
@@ -373,6 +377,106 @@ TEST(CheckpointResume, ResumedRunPassesCheckpointConsistencyLaw) {
   const audit::AuditReport fresh = audit_dataset(full.dataset);
   EXPECT_EQ(fresh.checks_for("checkpoint-consistency"), 0u);
 }
+
+// The audit report is not checkpointed, so a resumed run audits its
+// restored KPI days as it replays them, with a sink or without: every
+// per-day law (kpi-aggregation among them) evaluates as many checks as in
+// the uninterrupted run, and the sink still receives every row.
+class RowCountingSink final : public DatasetSink {
+ public:
+  void on_kpi_day(SimDay,
+                  std::span<const telemetry::CellDayRecord> rows) override {
+    rows_ += rows.size();
+  }
+  [[nodiscard]] std::uint64_t rows() const { return rows_; }
+
+ private:
+  std::uint64_t rows_ = 0;
+};
+
+TEST(CheckpointResume, AuditedResumeChecksEveryRestoredKpiDay) {
+  const RecordedRun& full = recorded_reference();
+  ScenarioConfig config = matrix_config();
+  config.worker_threads = 2;
+  config.audit = true;
+  const Dataset one_shot = run_scenario(config);
+  const std::size_t mid = full.checkpoints.saved().size() / 2;
+  for (const bool with_sink : {false, true}) {
+    SCOPED_TRACE(with_sink ? "sink run" : "sinkless run");
+    MemoryCheckpoint source;
+    source.prime(full.checkpoints, mid);
+    RowCountingSink sink;
+    const Dataset resumed =
+        Simulator{config}.run(with_sink ? &sink : nullptr, &source);
+    ASSERT_GT(resumed.recovery.checkpoint_kpi_rows, 0u);
+    EXPECT_TRUE(resumed.audit_report.clean());
+    for (const char* law : {"kpi-partition", "kpi-range", "kpi-aggregation"})
+      EXPECT_EQ(resumed.audit_report.checks_for(law),
+                one_shot.audit_report.checks_for(law))
+          << law;
+    EXPECT_EQ(resumed.kpis.released(), with_sink);
+    if (with_sink) {
+      EXPECT_EQ(sink.rows(), one_shot.kpis.row_count());
+    }
+  }
+}
+
+// ------------------------------------------------- KPI row ownership
+//
+// A run with a DatasetSink hands each KPI day to the sink and keeps only
+// its counts (telemetry::KpiStore::release_rows). Nothing else may move:
+// every other field equals the sinkless run's, bit for bit, and the rows
+// the store decodes are the rows the sinkless run kept.
+class SinkRun : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(SinkRun, MatchesTheSinklessRun) {
+  const auto [workers, faulted] = GetParam();
+  ScenarioConfig config = default_scenario();
+  config.num_users = 1'500;
+  config.seed = faulted ? 4242 : 987;
+  config.user_chunk = faulted ? 96 : 128;
+  config.worker_threads = workers;
+  if (faulted) {
+    config.faults.signaling_outages_per_week = 1.0;
+    config.faults.signaling_outage_mean_hours = 6.0;
+    config.faults.observation_loss_rate = 0.02;
+    config.faults.kpi_record_loss_rate = 0.01;
+    config.faults.kpi_record_duplication_rate = 0.005;
+    config.faults.cell_outage_daily_prob = 0.01;
+  }
+  const Dataset sinkless = run_scenario(config);
+  ASSERT_FALSE(sinkless.kpis.released());
+  ASSERT_GT(sinkless.kpis.row_count(), 0u);
+
+  const std::string dir = ::testing::TempDir() + "sink_run_" +
+                          std::to_string(workers) +
+                          (faulted ? "_faulted" : "_clean");
+  std::filesystem::remove_all(dir);
+  const Dataset streamed = store::simulate_to_store(config, dir);
+
+  testsupport::expect_run_fields_identical(sinkless, streamed);
+  EXPECT_TRUE(streamed.kpis.released());
+  EXPECT_TRUE(streamed.kpis.retained().empty());
+  EXPECT_THROW((void)streamed.kpis.records(), std::logic_error);
+  EXPECT_EQ(streamed.kpis.row_count(), sinkless.kpis.records().size());
+  EXPECT_EQ(streamed.kpis.first_day(), sinkless.kpis.first_day());
+  EXPECT_EQ(streamed.kpis.last_day(), sinkless.kpis.last_day());
+
+  std::vector<telemetry::CellDayRecord> stored;
+  const store::ScanStats scanned = store::scan_kpis(
+      dir, [&](const telemetry::CellDayRecord& r) { stored.push_back(r); });
+  EXPECT_EQ(scanned.shards_quarantined, 0u);
+  testsupport::expect_kpi_rows_identical(sinkless.kpis.records(), stored);
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workers, SinkRun,
+    ::testing::Combine(::testing::Values(1, 3, 8), ::testing::Bool()),
+    [](const auto& info) {
+      return "threads" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_faulted" : "_clean");
+    });
 
 }  // namespace
 }  // namespace cellscope::sim

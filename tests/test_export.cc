@@ -39,13 +39,14 @@ const radio::RadioTopology* ExportTest::topology_ = nullptr;
 
 TEST_F(ExportTest, KpiCsvHasHeaderAndOneRowPerRecord) {
   telemetry::KpiStore store;
-  telemetry::KpiAggregator aggregator{topo().cells().size()};
-  aggregator.begin_day(25);
   radio::CellHourKpi kpi;
   kpi.dl_volume_mb = 42.5;
-  aggregator.record_hour(topo().lte_cells()[0], kpi);
-  aggregator.record_hour(topo().lte_cells()[1], kpi);
-  store.add_day(aggregator.finish_day());
+  telemetry::CellDaySamples samples;
+  samples.record(kpi);
+  store.add_day({samples.reduce(topo().lte_cells()[0], 25,
+                                telemetry::DailyReduction::kMedian),
+                 samples.reduce(topo().lte_cells()[1], 25,
+                                telemetry::DailyReduction::kMedian)});
 
   std::ostringstream os;
   export_kpis_csv(os, store, topo(), geo());

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "analysis/export.h"
 #include "analysis/import.h"
@@ -223,19 +225,21 @@ TEST(ImportKpis, RoundTripsThroughExport) {
   const auto topology = radio::RadioTopology::build(geography, topo_config);
 
   telemetry::KpiStore original;
-  telemetry::KpiAggregator aggregator{topology.cells().size()};
   Rng rng{5};
   for (SimDay d = 21; d <= 27; ++d) {
-    aggregator.begin_day(d);
+    std::vector<telemetry::CellDayRecord> rows;
     for (const auto cell : topology.lte_cells()) {
       radio::CellHourKpi kpi;
       kpi.dl_volume_mb = rng.uniform(0.0, 200.0);
       kpi.ul_volume_mb = rng.uniform(0.0, 20.0);
       kpi.active_dl_users = rng.uniform(0.0, 5.0);
       kpi.connected_users = rng.uniform(0.0, 60.0);
-      aggregator.record_hour(cell, kpi);
+      telemetry::CellDaySamples samples;
+      samples.record(kpi);
+      rows.push_back(
+          samples.reduce(cell, d, telemetry::DailyReduction::kMedian));
     }
-    original.add_day(aggregator.finish_day());
+    original.add_day(std::move(rows));
   }
 
   std::stringstream buffer;

@@ -1,6 +1,10 @@
 // KPI aggregation: hourly -> daily medians per cell; the KPI store.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <stdexcept>
+
 #include "telemetry/kpi.h"
 
 namespace cellscope::telemetry {
@@ -22,78 +26,69 @@ radio::CellHourKpi hour_kpi(double dl) {
   return kpi;
 }
 
-TEST(KpiAggregator, DailyMedianOfHourlySamples) {
-  KpiAggregator aggregator{2};
-  aggregator.begin_day(30);
-  // Cell 0: 24 hours with volumes 1..24 -> median 12.5.
-  for (int h = 1; h <= 24; ++h)
-    aggregator.record_hour(CellId{0}, hour_kpi(h));
-  const auto rows = aggregator.finish_day();
-  ASSERT_EQ(rows.size(), 1u);  // cell 1 had no samples
-  EXPECT_EQ(rows[0].cell, CellId{0});
-  EXPECT_EQ(rows[0].day, 30);
-  EXPECT_DOUBLE_EQ(rows[0].dl_volume_mb, 12.5);
-  EXPECT_DOUBLE_EQ(rows[0].ul_volume_mb, 1.25);
-  EXPECT_DOUBLE_EQ(rows[0].user_dl_throughput_mbps, 3.0);
-  EXPECT_DOUBLE_EQ(rows[0].connected_users, 20.0);
+// One cell's row: the given hourly samples reduced over the day.
+CellDayRecord cell_day(CellId cell, SimDay day,
+                       std::initializer_list<double> hourly_dl,
+                       DailyReduction reduction = DailyReduction::kMedian) {
+  CellDaySamples samples;
+  for (const double dl : hourly_dl) samples.record(hour_kpi(dl));
+  return samples.reduce(cell, day, reduction);
 }
 
-TEST(KpiAggregator, MeanReductionAblation) {
-  KpiAggregator aggregator{1, DailyReduction::kMean};
-  aggregator.begin_day(5);
-  aggregator.record_hour(CellId{0}, hour_kpi(0.0));
-  aggregator.record_hour(CellId{0}, hour_kpi(0.0));
-  aggregator.record_hour(CellId{0}, hour_kpi(90.0));
-  const auto rows = aggregator.finish_day();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(rows[0].dl_volume_mb, 30.0);  // mean, not median (0)
+TEST(CellDaySamples, DailyMedianOfHourlySamples) {
+  CellDaySamples samples;
+  // 24 hours with volumes 1..24 -> median 12.5.
+  for (int h = 1; h <= 24; ++h) samples.record(hour_kpi(h));
+  ASSERT_EQ(samples.hours, 24);
+  const CellDayRecord row = samples.reduce(CellId{0}, 30, DailyReduction::kMedian);
+  EXPECT_EQ(row.cell, CellId{0});
+  EXPECT_EQ(row.day, 30);
+  EXPECT_DOUBLE_EQ(row.dl_volume_mb, 12.5);
+  EXPECT_DOUBLE_EQ(row.ul_volume_mb, 1.25);
+  EXPECT_DOUBLE_EQ(row.user_dl_throughput_mbps, 3.0);
+  EXPECT_DOUBLE_EQ(row.connected_users, 20.0);
 }
 
-TEST(KpiAggregator, MedianIgnoresOutlierHour) {
-  KpiAggregator aggregator{1};
-  aggregator.begin_day(5);
-  for (int h = 0; h < 23; ++h) aggregator.record_hour(CellId{0}, hour_kpi(10.0));
-  aggregator.record_hour(CellId{0}, hour_kpi(100'000.0));
-  const auto rows = aggregator.finish_day();
-  EXPECT_DOUBLE_EQ(rows[0].dl_volume_mb, 10.0);
+TEST(CellDaySamples, MeanReductionAblation) {
+  const CellDayRecord row =
+      cell_day(CellId{0}, 5, {0.0, 0.0, 90.0}, DailyReduction::kMean);
+  EXPECT_DOUBLE_EQ(row.dl_volume_mb, 30.0);  // mean, not median (0)
 }
 
-TEST(KpiAggregator, LifecycleErrors) {
-  KpiAggregator aggregator{1};
-  EXPECT_THROW((void)aggregator.finish_day(), std::logic_error);
-  aggregator.begin_day(1);
-  EXPECT_THROW(aggregator.begin_day(2), std::logic_error);
-  for (int h = 0; h < 24; ++h) aggregator.record_hour(CellId{0}, hour_kpi(1.0));
-  EXPECT_THROW(aggregator.record_hour(CellId{0}, hour_kpi(1.0)),
-               std::logic_error);
-  (void)aggregator.finish_day();
-  aggregator.begin_day(2);  // reusable after finish
-  const auto rows = aggregator.finish_day();
-  EXPECT_TRUE(rows.empty());
+TEST(CellDaySamples, MedianIgnoresOutlierHour) {
+  CellDaySamples samples;
+  for (int h = 0; h < 23; ++h) samples.record(hour_kpi(10.0));
+  samples.record(hour_kpi(100'000.0));
+  EXPECT_DOUBLE_EQ(
+      samples.reduce(CellId{0}, 5, DailyReduction::kMedian).dl_volume_mb,
+      10.0);
 }
 
-TEST(KpiAggregator, ResetsBetweenDays) {
-  KpiAggregator aggregator{1};
-  aggregator.begin_day(1);
-  aggregator.record_hour(CellId{0}, hour_kpi(50.0));
-  (void)aggregator.finish_day();
-  aggregator.begin_day(2);
-  aggregator.record_hour(CellId{0}, hour_kpi(10.0));
-  const auto rows = aggregator.finish_day();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(rows[0].dl_volume_mb, 10.0);
-  EXPECT_EQ(rows[0].day, 2);
+TEST(CellDaySamples, RefusesA25thHour) {
+  CellDaySamples samples;
+  for (int h = 0; h < 24; ++h) samples.record(hour_kpi(1.0));
+  EXPECT_THROW(samples.record(hour_kpi(1.0)), std::logic_error);
+  EXPECT_EQ(samples.hours, 24);
+}
+
+// The KPI day close starts each cell's day by zeroing the hour count; the
+// samples beyond it are never read.
+TEST(CellDaySamples, ResetsBetweenDays) {
+  CellDaySamples samples;
+  samples.record(hour_kpi(50.0));
+  (void)samples.reduce(CellId{0}, 1, DailyReduction::kMedian);
+  samples.hours = 0;
+  samples.record(hour_kpi(10.0));
+  const CellDayRecord row = samples.reduce(CellId{0}, 2, DailyReduction::kMedian);
+  EXPECT_DOUBLE_EQ(row.dl_volume_mb, 10.0);
+  EXPECT_EQ(row.day, 2);
 }
 
 TEST(KpiStore, TracksDaySpan) {
   KpiStore store;
   EXPECT_TRUE(store.empty());
-  KpiAggregator aggregator{1};
-  for (SimDay d = 21; d <= 23; ++d) {
-    aggregator.begin_day(d);
-    aggregator.record_hour(CellId{0}, hour_kpi(double(d)));
-    store.add_day(aggregator.finish_day());
-  }
+  for (SimDay d = 21; d <= 23; ++d)
+    store.add_day({cell_day(CellId{0}, d, {double(d)})});
   EXPECT_FALSE(store.empty());
   EXPECT_EQ(store.first_day(), 21);
   EXPECT_EQ(store.last_day(), 23);
@@ -102,17 +97,13 @@ TEST(KpiStore, TracksDaySpan) {
 
 TEST(KpiStore, AllowsGapsButRejectsBackwardDays) {
   KpiStore store;
-  KpiAggregator aggregator{1};
-  aggregator.begin_day(10);
-  aggregator.record_hour(CellId{0}, hour_kpi(1.0));
-  store.add_day(aggregator.finish_day());
-  aggregator.begin_day(12);  // gap: day 11 missing (allowed for imports)
-  aggregator.record_hour(CellId{0}, hour_kpi(1.0));
-  EXPECT_NO_THROW(store.add_day(aggregator.finish_day()));
+  store.add_day({cell_day(CellId{0}, 10, {1.0})});
+  // Gap: day 11 missing (allowed for imports).
+  EXPECT_NO_THROW(store.add_day({cell_day(CellId{0}, 12, {1.0})}));
   EXPECT_EQ(store.last_day(), 12);
-  aggregator.begin_day(11);  // backwards: a bug
-  aggregator.record_hour(CellId{0}, hour_kpi(1.0));
-  EXPECT_THROW(store.add_day(aggregator.finish_day()), std::logic_error);
+  // Backwards: a bug.
+  EXPECT_THROW(store.add_day({cell_day(CellId{0}, 11, {1.0})}),
+               std::logic_error);
 }
 
 // A batch is one day, but the store's day range comes from every row: a
@@ -135,6 +126,92 @@ TEST(KpiStore, DayRangeCoversEveryRowOfABatch) {
   store.add_day({row(8)});
   EXPECT_EQ(store.first_day(), 4);
   EXPECT_EQ(store.last_day(), 8);
+}
+
+
+// --- Row ownership: a store that hands its rows to a sink releases them
+// and keeps only their counts.
+
+CellDayRecord row_on(std::uint32_t cell, SimDay day) {
+  CellDayRecord record;
+  record.cell = CellId{cell};
+  record.day = day;
+  return record;
+}
+
+TEST(KpiStore, ReleaseKeepsCountsAndDayRange) {
+  KpiStore store;
+  store.add_day({row_on(0, 21), row_on(1, 21), row_on(2, 21)});
+  store.add_day({row_on(0, 23), row_on(1, 23)});
+  store.release_rows();
+  EXPECT_TRUE(store.released());
+  EXPECT_FALSE(store.empty());
+  EXPECT_TRUE(store.retained().empty());
+  EXPECT_EQ(store.row_count(), 5u);
+  EXPECT_EQ(store.first_day(), 21);
+  EXPECT_EQ(store.last_day(), 23);
+  EXPECT_EQ(store.rows_through(20), 0u);
+  EXPECT_EQ(store.rows_through(21), 3u);
+  EXPECT_EQ(store.rows_through(22), 3u);
+  EXPECT_EQ(store.rows_through(23), 5u);
+  EXPECT_EQ(store.rows_through(99), 5u);
+}
+
+TEST(KpiStore, ReadingReleasedRowsThrows) {
+  KpiStore store;
+  store.add_day({row_on(0, 21)});
+  store.release_rows();
+  EXPECT_THROW((void)store.records(), std::logic_error);
+  // Rows added after the release do not make the feed whole again.
+  store.add_day({row_on(0, 22)});
+  EXPECT_THROW((void)store.records(), std::logic_error);
+  ASSERT_EQ(store.retained().size(), 1u);
+  EXPECT_EQ(store.retained()[0].day, 22);
+}
+
+TEST(KpiStore, ReleasingNothingKeepsTheFeedReadable) {
+  KpiStore store;
+  store.release_rows();
+  EXPECT_FALSE(store.released());
+  EXPECT_TRUE(store.records().empty());
+  store.add_day({row_on(0, 21)});
+  EXPECT_EQ(store.records().size(), 1u);
+}
+
+TEST(KpiStore, AddDayAfterAReleaseKeepsCountingAndOrdering) {
+  KpiStore store;
+  store.add_day({row_on(0, 21), row_on(1, 21)});
+  store.release_rows();
+  // The released day still bounds what may follow.
+  EXPECT_THROW(store.add_day({row_on(0, 21)}), std::logic_error);
+  EXPECT_THROW(store.add_day({row_on(0, 20)}), std::logic_error);
+  EXPECT_EQ(store.row_count(), 2u);
+  store.add_day({row_on(0, 22), row_on(1, 22), row_on(2, 22)});
+  EXPECT_EQ(store.row_count(), 5u);
+  EXPECT_EQ(store.rows_through(21), 2u);
+  EXPECT_EQ(store.rows_through(22), 5u);
+  EXPECT_EQ(store.first_day(), 21);
+  EXPECT_EQ(store.last_day(), 22);
+  EXPECT_EQ(store.retained().size(), 3u);
+  store.release_rows();
+  EXPECT_TRUE(store.retained().empty());
+  EXPECT_EQ(store.row_count(), 5u);
+}
+
+// One batch holding two days with day 5 split around day 6, the shape of
+// the audit's split-day mutation: each day is counted on its own.
+TEST(KpiStore, MixedDayBatchCountsPerDay) {
+  KpiStore store;
+  store.add_day({row_on(0, 5), row_on(2, 6), row_on(1, 5)});
+  EXPECT_EQ(store.row_count(), 3u);
+  EXPECT_EQ(store.rows_through(4), 0u);
+  EXPECT_EQ(store.rows_through(5), 2u);
+  EXPECT_EQ(store.rows_through(6), 3u);
+  store.add_day({row_on(0, 8), row_on(0, 7), row_on(1, 8), row_on(1, 7)});
+  EXPECT_EQ(store.rows_through(6), 3u);
+  EXPECT_EQ(store.rows_through(7), 5u);
+  EXPECT_EQ(store.rows_through(8), 7u);
+  EXPECT_EQ(store.records().size(), 7u);
 }
 
 TEST(KpiStore, EmptyDayIsANoOp) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "analysis/network_metrics.h"
 
@@ -101,18 +103,20 @@ TEST_F(NetworkMetricsTest, LondonPostalAreaGrouping) {
 telemetry::KpiStore synthetic_store(double group0_dl, double group1_dl,
                                     int days = 14) {
   telemetry::KpiStore store;
-  telemetry::KpiAggregator aggregator{4};
   for (SimDay d = 0; d < days; ++d) {
-    aggregator.begin_day(d);
+    std::vector<telemetry::CellDayRecord> rows;
     for (std::uint32_t c = 0; c < 4; ++c) {
       radio::CellHourKpi kpi;
       // Cells 0,1 -> group 0; cells 2,3 -> group 1. Second week doubles.
       const double base = c < 2 ? group0_dl : group1_dl;
       kpi.dl_volume_mb = base * (d >= 7 ? 2.0 : 1.0) + c;  // slight spread
       kpi.connected_users = 5.0 + c;
-      for (int h = 0; h < 24; ++h) aggregator.record_hour(CellId{c}, kpi);
+      telemetry::CellDaySamples samples;
+      for (int h = 0; h < 24; ++h) samples.record(kpi);
+      rows.push_back(
+          samples.reduce(CellId{c}, d, telemetry::DailyReduction::kMedian));
     }
-    store.add_day(aggregator.finish_day());
+    store.add_day(std::move(rows));
   }
   return store;
 }

@@ -61,6 +61,8 @@ class StoreCorruption : public ::testing::Test {
                                 "cellstore_corruption_base_" +
                                 std::to_string(::getpid()));
     std::filesystem::remove_all(*base_dir_);
+    // The run hands its KPI rows to the store and keeps their count, which
+    // is all these tests compare against.
     live_ = new sim::Dataset(simulate_to_store(tiny_config(), *base_dir_));
   }
   static void TearDownTestSuite() {
@@ -113,7 +115,7 @@ TEST_F(StoreCorruption, BitFlippedKpiFeedDegradesWithoutCrash) {
   EXPECT_GE(store_quarantined(*outcome.dataset), 1u);
   EXPECT_EQ(outcome.dataset->homes.size(), live().homes.size());
   EXPECT_LT(outcome.dataset->kpis.records().size(),
-            live().kpis.records().size());
+            live().kpis.row_count());
 }
 
 TEST_F(StoreCorruption, TruncatedKpiFeedDegradesWithoutCrash) {
@@ -142,7 +144,7 @@ TEST_F(StoreCorruption, DeletedFeedFileDegradesWithoutCrash) {
   EXPECT_EQ(outcome.dataset->homes.size(), 0u);
   // Every other feed is unaffected.
   EXPECT_EQ(outcome.dataset->kpis.records().size(),
-            live().kpis.records().size());
+            live().kpis.row_count());
   EXPECT_EQ(outcome.dataset->signaling.days().size(),
             live().signaling.days().size());
 }
@@ -207,7 +209,7 @@ TEST_F(StoreCorruption, TruncationAtEveryStructuralBoundaryDegrades) {
     ASSERT_TRUE(outcome.dataset.has_value());
     // The torn feed never serves partial rows as complete...
     EXPECT_LT(outcome.dataset->kpis.records().size(),
-              live().kpis.records().size());
+              live().kpis.row_count());
     EXPECT_GE(store_quarantined(*outcome.dataset), 1u);
     // ...and the untouched feeds still load in full.
     EXPECT_EQ(outcome.dataset->homes.size(), live().homes.size());
@@ -237,7 +239,7 @@ TEST_F(StoreCorruption, OrphanedTmpFilesAreIgnoredAndSwept) {
   ASSERT_EQ(outcome.status, ReadOutcome::Status::kOk) << outcome.error;
   EXPECT_TRUE(outcome.complete());
   EXPECT_EQ(outcome.dataset->kpis.records().size(),
-            live().kpis.records().size());
+            live().kpis.row_count());
 
   EXPECT_EQ(remove_stale_tmp_files(dir), 3u);
   EXPECT_FALSE(std::filesystem::exists(kpis + kTmpSuffix));

@@ -5,14 +5,18 @@
 // every field, for clean and fault-injected scenarios, at any
 // worker_threads. This suite writes datasets through both the streaming
 // sink and the materialized path, reads them back, and runs the same
-// bit-level comparison the thread-matrix determinism suite uses. It then
-// closes the loop on the golden fixtures: figures rendered from a
-// replayed dataset must be byte-identical to the committed CSVs.
+// bit-level comparison the thread-matrix determinism suite uses. A
+// streaming run hands its KPI rows to the store, so the rows a replay must
+// reproduce come from a sinkless run of the same config, never from the
+// store under test. It then closes the loop on the golden fixtures:
+// figures rendered from a replayed dataset must be byte-identical to the
+// committed CSVs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "sim/simulator.h"
@@ -25,6 +29,7 @@ namespace cellscope::store {
 namespace {
 
 using sim::testsupport::expect_datasets_identical;
+using sim::testsupport::expect_run_fields_identical;
 
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "cellstore_replay_" + name;
@@ -75,6 +80,7 @@ TEST_P(CleanThreads, RoundTripIsBitIdentical) {
   const std::string dir =
       fresh_dir("clean_t" + std::to_string(GetParam()));
   const sim::Dataset live = simulate_to_store(config, dir);
+  const sim::Dataset oracle = sim::run_scenario(config);
 
   const ReadOutcome outcome = read_dataset(dir, config);
   ASSERT_EQ(outcome.status, ReadOutcome::Status::kOk) << outcome.error;
@@ -83,7 +89,8 @@ TEST_P(CleanThreads, RoundTripIsBitIdentical) {
   EXPECT_EQ(outcome.shards_quarantined, 0u);
   EXPECT_GT(outcome.rows_read, 0u);
   EXPECT_GT(outcome.bytes_read, 0u);
-  expect_datasets_identical(live, *outcome.dataset);
+  expect_run_fields_identical(live, *outcome.dataset);
+  expect_datasets_identical(oracle, *outcome.dataset);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, CleanThreads, ::testing::Values(1, 3),
@@ -97,23 +104,26 @@ TEST(StoreReplay, FaultedRoundTripIsBitIdentical) {
   const std::string dir = fresh_dir("faulted");
   const sim::Dataset live = simulate_to_store(config, dir);
   ASSERT_FALSE(live.quality.empty());
+  const sim::Dataset oracle = sim::run_scenario(config);
 
   const ReadOutcome outcome = read_dataset(dir, config);
   ASSERT_EQ(outcome.status, ReadOutcome::Status::kOk) << outcome.error;
   ASSERT_TRUE(outcome.dataset.has_value());
-  expect_datasets_identical(live, *outcome.dataset);
+  expect_run_fields_identical(live, *outcome.dataset);
+  expect_datasets_identical(oracle, *outcome.dataset);
 }
 
 // The streaming sink (shards flushed while the simulation runs) and the
-// materialized write (whole dataset at finish) must produce the same
-// store — same bytes on disk, same dataset back.
+// materialized write (a sinkless run's whole dataset at finish) must
+// produce the same store — same bytes on disk, same dataset back.
 TEST(StoreReplay, StreamedAndMaterializedWritesAreByteIdentical) {
   const sim::ScenarioConfig config = replay_config();
   const std::string streamed_dir = fresh_dir("streamed");
   const std::string materialized_dir = fresh_dir("materialized");
 
   const sim::Dataset live = simulate_to_store(config, streamed_dir);
-  write_dataset(live, materialized_dir);
+  const sim::Dataset materialized = sim::run_scenario(config);
+  write_dataset(materialized, materialized_dir);
 
   for (const auto& feed : dataset_feeds()) {
     const std::string name = feed_file_name(feed);
@@ -123,7 +133,24 @@ TEST(StoreReplay, StreamedAndMaterializedWritesAreByteIdentical) {
   }
   const ReadOutcome outcome = read_dataset(materialized_dir, config);
   ASSERT_EQ(outcome.status, ReadOutcome::Status::kOk) << outcome.error;
-  expect_datasets_identical(live, *outcome.dataset);
+  expect_run_fields_identical(live, *outcome.dataset);
+  expect_datasets_identical(materialized, *outcome.dataset);
+}
+
+// A Dataset whose KPI rows went to a store has none to write: finishing a
+// store from it must fail before any feed or the manifest publishes,
+// instead of publishing an empty KPI feed under a count of N rows.
+TEST(DatasetWriter, FinishRefusesAReleasedDataset) {
+  const sim::ScenarioConfig config = replay_config();
+  const sim::Dataset live = simulate_to_store(config, fresh_dir("released"));
+  ASSERT_TRUE(live.kpis.released());
+  const std::string dir = fresh_dir("from_released");
+  EXPECT_THROW(write_dataset(live, dir), std::logic_error);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/" + kManifestFile));
+  for (const auto& feed : dataset_feeds())
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + feed_file_name(feed)))
+        << feed;
+  EXPECT_EQ(read_dataset(dir, config).status, ReadOutcome::Status::kMissing);
 }
 
 TEST(StoreReplay, DigestMismatchRefusesToLoad) {
@@ -154,6 +181,8 @@ TEST(StoreReplay, GoldenFiguresFromReplayMatchFixturesByteExactly) {
   const sim::ScenarioConfig config = sim::testsupport::golden_config();
   const std::string dir = fresh_dir("golden");
   const sim::Dataset live = simulate_to_store(config, dir);
+  // The KPI figures need rows, which the streaming run handed to the store.
+  const sim::Dataset oracle = sim::run_scenario(config);
 
   const ReadOutcome outcome = read_dataset(dir, config);
   ASSERT_EQ(outcome.status, ReadOutcome::Status::kOk) << outcome.error;
@@ -163,8 +192,8 @@ TEST(StoreReplay, GoldenFiguresFromReplayMatchFixturesByteExactly) {
   const std::string fig08 = sim::testsupport::fig08_csv(replayed);
   const std::string fig09 = sim::testsupport::fig09_csv(replayed);
   EXPECT_EQ(fig03, sim::testsupport::fig03_csv(live));
-  EXPECT_EQ(fig08, sim::testsupport::fig08_csv(live));
-  EXPECT_EQ(fig09, sim::testsupport::fig09_csv(live));
+  EXPECT_EQ(fig08, sim::testsupport::fig08_csv(oracle));
+  EXPECT_EQ(fig09, sim::testsupport::fig09_csv(oracle));
   EXPECT_EQ(fig03,
             slurp(std::string(CELLSCOPE_GOLDEN_DIR) +
                   "/fig03_national_mobility.csv"));

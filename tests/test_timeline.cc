@@ -1,22 +1,25 @@
 // Run-health timeline: the slope/steady-state estimators over synthetic
 // series, sampling mechanics (day boundaries, wall-clock fallback rate
-// limit), the tracked-byte subsystem counters (a checkpointed run's
-// sim_bytes included), CSV/JSON export shape and the disabled-is-inert
-// contract.
+// limit), the tracked-byte subsystem counters (a checkpointed run's and a
+// store-streaming run's sim_bytes included), CSV/JSON export shape and the
+// disabled-is-inert contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <span>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/runtime.h"
 #include "obs/timeline.h"
 #include "sim/simulator.h"
+#include "store/dataset_io.h"
 
 namespace cellscope::obs {
 namespace {
@@ -131,6 +134,27 @@ TEST_F(TimelineTest, SimBytesCountRetainedKpiRowsOnly) {
   ASSERT_FALSE(ds.kpis.records().empty());
   EXPECT_EQ(tracked_bytes(Subsystem::kSim),
             ds.kpis.records().size() * sizeof(telemetry::CellDayRecord));
+}
+
+// A run with a store sink hands every KPI row to the writer, so the
+// simulator retains no KPI bytes; the store accounts for what it flushed.
+TEST_F(TimelineTest, SimBytesCountNoKpiRowsOfASinkRun) {
+  sim::ScenarioConfig config = sim::default_scenario();
+  config.num_users = 300;
+  config.last_week = 10;
+  const std::string dir =
+      ::testing::TempDir() + "timeline_sink_run_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  set_enabled(true);
+  store::DatasetWriter writer{dir};
+  const sim::Dataset ds = sim::Simulator{config}.run(&writer);
+  ASSERT_GT(ds.kpis.row_count(), 0u);
+  ASSERT_TRUE(ds.kpis.released());
+  EXPECT_EQ(tracked_bytes(Subsystem::kSim), 0u);
+  EXPECT_EQ(tracked_bytes(Subsystem::kStore),
+            ds.kpis.row_count() * sizeof(telemetry::CellDayRecord));
+  (void)writer.finish(ds);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(TimelineTest, DisabledTimelineIsInert) {
