@@ -3,8 +3,9 @@
 //
 // These quantify the per-record cost of the paper's pipeline stages:
 // entropy (Eq 1), radius of gyration (Eq 2), the combined per-user-day
-// metric computation at several top-K settings, the LTE scheduler hour and
-// home-detection ingestion.
+// metric computation at several top-K settings, the LTE scheduler hour,
+// home-detection ingestion, and two pieces of the per-user day kernel: one
+// KPI user-day of signaling and one user-hour of voice.
 //
 // With CELLSCOPE_OBS_DIR set, the full google-benchmark report (per-kernel
 // ns/op) is additionally written to <dir>/perf_kernels.json — the
@@ -28,6 +29,9 @@
 #include "sim/pool.h"
 #include "store/scan.h"
 #include "store/shard.h"
+#include "telemetry/probes.h"
+#include "traffic/core_network.h"
+#include "traffic/voice.h"
 
 using namespace cellscope;
 
@@ -342,6 +346,43 @@ void BM_HomeDetectorObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HomeDetectorObserve);
+
+// One KPI user-day of signaling into the simulator's per-chunk counter: a
+// 6-stay day with 12 active data hours and 2 calls (about 30 events).
+void BM_SignalingDay(benchmark::State& state) {
+  const traffic::SignalingGenerator generator;
+  population::Subscriber user;
+  user.id = UserId{7};
+  user.native = true;
+  user.smartphone = true;
+  const std::vector<traffic::CellStay> stays = {
+      {CellId{1}, 0, 8},   {CellId{2}, 8, 12},  {CellId{3}, 12, 13},
+      {CellId{2}, 13, 18}, {CellId{4}, 18, 21}, {CellId{1}, 21, 24}};
+  telemetry::SignalingDayCounter counter;
+  Rng rng{5};
+  for (auto _ : state) {
+    generator.generate_day(user, stays, 40, 12, 2, rng, counter);
+    benchmark::DoNotOptimize(counter);
+  }
+}
+BENCHMARK(BM_SignalingDay);
+
+// One user-hour of voice through the day's rate table, cycling the hours
+// of a surge day.
+void BM_VoiceHour(benchmark::State& state) {
+  const mobility::PolicyTimeline policy;
+  const traffic::VoiceModel model{policy};
+  const traffic::VoiceDayRates rates = model.day_rates(week_start_day(12));
+  population::Subscriber user;
+  user.smartphone = true;
+  Rng rng{6};
+  int hour = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.sample_hour(user, rates, hour, rng));
+    hour = hour + 1 == kHoursPerDay ? 0 : hour + 1;
+  }
+}
+BENCHMARK(BM_VoiceHour);
 
 }  // namespace
 

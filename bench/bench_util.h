@@ -235,6 +235,8 @@ inline void write_obs_outputs(const std::string& slug,
     manifest.timeline.steady_rss_kb = obs::steady_rss_kb(timeline_samples);
     manifest.timeline.rss_slope_kb_per_day =
         obs::rss_slope_kb_per_day(timeline_samples);
+    manifest.timeline.rss_slope_kpi_kb_per_day = obs::rss_slope_kb_per_day(
+        timeline_samples, config.kpi_first_day());
     manifest.timeline.rows_per_sec = timeline_samples.back().rows_per_sec;
     manifest.timeline.users_per_sec = timeline_samples.back().users_per_sec;
   }
@@ -255,7 +257,9 @@ inline void write_obs_outputs(const std::string& slug,
     publish(base + ".timeline.csv",
             [&](std::ostream& out) { timeline.write_csv(out); });
     publish(base + ".timeline.json",
-            [&](std::ostream& out) { timeline.write_json(out); });
+            [&](std::ostream& out) {
+              timeline.write_json(out, config.kpi_first_day());
+            });
   }
   if (config.audit) {
     // Machine-readable audit report next to the manifest (CI uploads the

@@ -21,13 +21,6 @@ DailySeries signaling_series(const telemetry::SignalingProbe& probe,
   return series;
 }
 
-DailySeries signaling_total_series(const telemetry::SignalingProbe& probe) {
-  DailySeries series = make_series(probe);
-  for (const auto& day : probe.days())
-    series.set(day.day, static_cast<double>(day.total_events()));
-  return series;
-}
-
 DailySeries signaling_failure_series(const telemetry::SignalingProbe& probe,
                                      traffic::SignalingEventType type) {
   DailySeries series = make_series(probe);

@@ -21,10 +21,6 @@ namespace cellscope::analysis {
     const telemetry::SignalingProbe& probe,
     traffic::SignalingEventType type);
 
-// Daily totals across every event type.
-[[nodiscard]] DailySeries signaling_total_series(
-    const telemetry::SignalingProbe& probe);
-
 // Daily failure rate (failures / total) of one event type, in percent.
 [[nodiscard]] DailySeries signaling_failure_series(
     const telemetry::SignalingProbe& probe,

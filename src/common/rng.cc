@@ -7,12 +7,6 @@
 
 namespace cellscope {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
@@ -28,46 +22,12 @@ Rng Rng::fork(std::string_view stream_name, std::uint64_t index) const {
   return Rng{splitmix64(mix)};
 }
 
-std::uint64_t Rng::next() {
-  // xoshiro256++
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 uniform bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
-std::uint64_t Rng::uniform_index(std::uint64_t n) {
-  assert(n > 0);
-  // Lemire-style rejection-free for our (non-adversarial) purposes: the bias
-  // of a plain modulo with 64-bit input and n <= 2^32 is immeasurably small,
-  // but use the widening multiply anyway.
-  const unsigned __int128 product =
-      static_cast<unsigned __int128>(next()) * static_cast<unsigned __int128>(n);
-  return static_cast<std::uint64_t>(product >> 64);
-}
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
-bool Rng::chance(double probability) {
-  if (probability <= 0.0) return false;
-  if (probability >= 1.0) return true;
-  return uniform() < probability;
 }
 
 double Rng::normal() {
@@ -92,16 +52,19 @@ double Rng::exponential(double mean) {
 }
 
 std::uint64_t Rng::poisson(double mean) {
+  return poisson(mean, mean > 0.0 && mean < 64.0 ? std::exp(-mean) : 0.0);
+}
+
+std::uint64_t Rng::poisson(double mean, double knuth_threshold) {
   if (mean <= 0.0) return 0;
   if (mean < 64.0) {
     // Knuth's product method.
-    const double threshold = std::exp(-mean);
     std::uint64_t k = 0;
     double p = 1.0;
     do {
       ++k;
       p *= uniform();
-    } while (p > threshold);
+    } while (p > knuth_threshold);
     return k - 1;
   }
   // Normal approximation for large means.

@@ -10,6 +10,7 @@
 // fast, and statistically solid for simulation (not cryptographic) use.
 #pragma once
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -57,15 +58,30 @@ class Rng {
   result_type operator()() { return next(); }
 
   // Uniform double in [0, 1).
-  [[nodiscard]] double uniform();
+  [[nodiscard]] double uniform() {
+    // 53 uniform bits -> double in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
   // Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi);
   // Uniform integer in [0, n). n must be > 0.
-  [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n);
+  [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n) {
+    assert(n > 0);
+    // Lemire-style rejection-free for our (non-adversarial) purposes: the
+    // bias of a plain modulo with 64-bit input and n <= 2^32 is immeasurably
+    // small, but use the widening multiply anyway.
+    const unsigned __int128 product = static_cast<unsigned __int128>(next()) *
+                                      static_cast<unsigned __int128>(n);
+    return static_cast<std::uint64_t>(product >> 64);
+  }
   // Uniform integer in [lo, hi] inclusive.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   // Bernoulli trial.
-  [[nodiscard]] bool chance(double probability);
+  [[nodiscard]] bool chance(double probability) {
+    if (probability <= 0.0) return false;
+    if (probability >= 1.0) return true;
+    return uniform() < probability;
+  }
 
   // Standard normal via Box-Muller (no state carried between calls).
   [[nodiscard]] double normal();
@@ -77,6 +93,9 @@ class Rng {
   // Poisson-distributed count with the given mean (Knuth for small means,
   // normal approximation above 64).
   [[nodiscard]] std::uint64_t poisson(double mean);
+  // The same draw for a caller that computed Knuth's threshold,
+  // std::exp(-mean), once for many draws of one mean.
+  [[nodiscard]] std::uint64_t poisson(double mean, double knuth_threshold);
   // Zipf-like rank draw in [0, n) with exponent s (rank 0 most likely).
   [[nodiscard]] std::uint64_t zipf(std::uint64_t n, double s);
   // Index drawn proportionally to the (non-negative) weights.
@@ -94,9 +113,28 @@ class Rng {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t seed_ = 0;
   std::uint64_t s_[4] = {};
 };
+
+// Defined here rather than in rng.cc: every draw of the per-user day
+// kernel starts with it, and those callers live in other libraries.
+inline std::uint64_t Rng::next() {
+  // xoshiro256++
+  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
 
 // Precomputed alias-free sampler for repeated categorical draws over a fixed
 // weight vector (cumulative distribution + binary search).

@@ -102,7 +102,7 @@ UserPlaces PlacesBuilder::build(const population::Subscriber& user,
   const int leisure_count = std::clamp(
       static_cast<int>(std::lround(
           2.0 * traits.variety_factor + user_rng.uniform(-0.5, 1.5))),
-      1, 4);
+      1, UserPlaces::kMaxLeisurePlaces);
   for (int i = 0; i < leisure_count; ++i) {
     // Some leisure anchors near work (after-office places), most near home.
     const PostcodeDistrictId anchor =

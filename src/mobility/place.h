@@ -53,6 +53,8 @@ struct UserPlaces {
   std::vector<std::uint8_t> leisure_indices;
 
   static constexpr std::uint8_t kNone = 0xff;
+  // PlacesBuilder gives every user 1 to this many leisure places.
+  static constexpr int kMaxLeisurePlaces = 4;
 
   [[nodiscard]] bool has_work() const { return work_index != kNone; }
   [[nodiscard]] bool has_getaway() const { return getaway_index != kNone; }

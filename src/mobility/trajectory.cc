@@ -1,6 +1,7 @@
 #include "mobility/trajectory.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace cellscope::mobility {
 
@@ -11,9 +12,9 @@ TrajectoryGenerator::TrajectoryGenerator(const geo::UkGeography& geography,
                                          const BehaviorParams& params)
     : geography_(geography), policy_(policy), params_(params) {}
 
-std::vector<Stay> compress_slots(
-    const std::array<std::uint8_t, kHoursPerDay>& slots) {
-  std::vector<Stay> stays;
+void compress_slots(const std::array<std::uint8_t, kHoursPerDay>& slots,
+                    std::vector<Stay>& stays) {
+  stays.clear();
   int start = 0;
   for (int h = 1; h <= kHoursPerDay; ++h) {
     if (h == kHoursPerDay || slots[h] != slots[start]) {
@@ -22,15 +23,16 @@ std::vector<Stay> compress_slots(
       start = h;
     }
   }
-  return stays;
 }
 
-DayPlan TrajectoryGenerator::plan_day(const population::Subscriber& user,
-                                      const UserPlaces& places,
-                                      UserState& state, SimDay day,
-                                      Rng& rng) const {
-  DayPlan plan;
-  if (state.departed) return plan;  // silent: no network presence at all
+void TrajectoryGenerator::plan_day(const population::Subscriber& user,
+                                   const UserPlaces& places, UserState& state,
+                                   SimDay day, Rng& rng, DayPlan& plan) const {
+  // A day holds at most one stay per hour: reserve that once, so a reused
+  // plan stops allocating after its first day.
+  plan.stays.clear();
+  plan.stays.reserve(kHoursPerDay);
+  if (state.departed) return;  // silent: no network presence at all
 
   std::array<std::uint8_t, kHoursPerDay> slots;
 
@@ -44,8 +46,8 @@ DayPlan TrajectoryGenerator::plan_day(const population::Subscriber& user,
         rng.chance(0.20)) {
       slots[14] = slots[15] = places.getaway_index;
     }
-    plan.stays = compress_slots(slots);
-    return plan;
+    compress_slots(slots, plan.stays);
+    return;
   }
 
   slots.fill(UserPlaces::kHomeIndex);
@@ -99,11 +101,13 @@ DayPlan TrajectoryGenerator::plan_day(const population::Subscriber& user,
   const auto pick_leisure = [&]() -> std::uint8_t {
     if (places.leisure_indices.empty()) return UserPlaces::kHomeIndex;
     // Zipf-ish: weights were assigned decreasing at build time.
-    std::vector<double> w;
-    w.reserve(places.leisure_indices.size());
-    for (const auto idx : places.leisure_indices)
-      w.push_back(places.places[idx].weight);
-    return places.leisure_indices[rng.categorical(w)];
+    std::array<double, UserPlaces::kMaxLeisurePlaces> w;
+    const std::size_t n = places.leisure_indices.size();
+    if (n > w.size())
+      throw std::length_error("plan_day: more leisure places than built");
+    for (std::size_t k = 0; k < n; ++k)
+      w[k] = places.places[places.leisure_indices[k]].weight;
+    return places.leisure_indices[rng.categorical({w.data(), n})];
   };
   const auto pick_errand = [&]() -> std::uint8_t {
     if (places.errand_indices.empty()) return UserPlaces::kHomeIndex;
@@ -124,8 +128,8 @@ DayPlan TrajectoryGenerator::plan_day(const population::Subscriber& user,
     if (policy_.pre_lockdown_rush(day)) p *= params_.rush_multiplier;
     if (rng.chance(p)) {
       for (int h = 9; h < 20; ++h) slots[h] = places.getaway_index;
-      plan.stays = compress_slots(slots);
-      return plan;
+      compress_slots(slots, plan.stays);
+      return;
     }
   }
 
@@ -206,8 +210,7 @@ DayPlan TrajectoryGenerator::plan_day(const population::Subscriber& user,
     }
   }
 
-  plan.stays = compress_slots(slots);
-  return plan;
+  compress_slots(slots, plan.stays);
 }
 
 }  // namespace cellscope::mobility

@@ -78,12 +78,19 @@ class TrajectoryGenerator {
                       const PolicyTimeline& policy,
                       const BehaviorParams& params = {});
 
-  // Generates the user's plan for `day`, updating sticky state (WFH).
+  // Generates the user's plan for `day` into `plan`, replacing its stays
+  // and keeping their capacity, and updates sticky state (WFH).
   // Relocation/departure decisions are owned by RelocationModel and only
   // read here. Draws come from `rng` (callers fork a per-user-day stream).
+  void plan_day(const population::Subscriber& user, const UserPlaces& places,
+                UserState& state, SimDay day, Rng& rng, DayPlan& plan) const;
   [[nodiscard]] DayPlan plan_day(const population::Subscriber& user,
                                  const UserPlaces& places, UserState& state,
-                                 SimDay day, Rng& rng) const;
+                                 SimDay day, Rng& rng) const {
+    DayPlan plan;
+    plan_day(user, places, state, day, rng, plan);
+    return plan;
+  }
 
   [[nodiscard]] const BehaviorParams& params() const { return params_; }
 
@@ -93,8 +100,9 @@ class TrajectoryGenerator {
   BehaviorParams params_;
 };
 
-// Helper shared with tests: compresses a 24-slot place array into stays.
-[[nodiscard]] std::vector<Stay> compress_slots(
-    const std::array<std::uint8_t, kHoursPerDay>& slots);
+// Helper shared with tests: compresses a 24-slot place array into
+// `stays`, replacing their contents.
+void compress_slots(const std::array<std::uint8_t, kHoursPerDay>& slots,
+                    std::vector<Stay>& stays);
 
 }  // namespace cellscope::mobility

@@ -106,6 +106,8 @@ void write_manifest_json(std::ostream& os, const RunManifest& m) {
        << ", \"steady_rss_kb\": " << m.timeline.steady_rss_kb
        << ", \"rss_slope_kb_per_day\": "
        << number(m.timeline.rss_slope_kb_per_day)
+       << ", \"rss_slope_kpi_kb_per_day\": "
+       << number(m.timeline.rss_slope_kpi_kb_per_day)
        << ", \"rows_per_sec\": " << number(m.timeline.rows_per_sec)
        << ", \"users_per_sec\": " << number(m.timeline.users_per_sec) << "}";
   }

@@ -87,6 +87,7 @@ struct RunManifest {
     std::uint64_t samples = 0;
     long steady_rss_kb = 0;
     double rss_slope_kb_per_day = 0.0;
+    double rss_slope_kpi_kb_per_day = 0.0;  // days >= the first KPI day
     double rows_per_sec = 0.0;   // from the final sample
     double users_per_sec = 0.0;  // from the final sample
   };

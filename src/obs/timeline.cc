@@ -52,12 +52,13 @@ void reset_tracked_bytes() {
     counter.store(0, std::memory_order_relaxed);
 }
 
-double rss_slope_kb_per_day(std::span<const TimelineSample> samples) {
+double rss_slope_kb_per_day(std::span<const TimelineSample> samples,
+                            std::int64_t first_day) {
   // Least squares of rss_kb on day over day-boundary samples only: the
   // fallback samples carry day = -1 and would skew the fit.
   double n = 0.0, sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_xy = 0.0;
   for (const auto& s : samples) {
-    if (s.day < 0) continue;
+    if (s.day < 0 || s.day < first_day) continue;
     const auto x = static_cast<double>(s.day);
     const auto y = static_cast<double>(s.rss_kb);
     n += 1.0;
@@ -180,11 +181,14 @@ void Timeline::write_csv(std::ostream& os) const {
   }
 }
 
-void Timeline::write_json(std::ostream& os) const {
+void Timeline::write_json(std::ostream& os,
+                          std::int64_t kpi_first_day) const {
   const auto snapshot = samples();
   os << "{\n  \"schema\": \"cellscope-timeline/1\",\n";
   os << "  \"rss_slope_kb_per_day\": "
      << finite(rss_slope_kb_per_day(snapshot)) << ",\n";
+  os << "  \"rss_slope_kpi_kb_per_day\": "
+     << finite(rss_slope_kb_per_day(snapshot, kpi_first_day)) << ",\n";
   os << "  \"steady_rss_kb\": " << steady_rss_kb(snapshot) << ",\n";
   os << "  \"samples\": [";
   for (std::size_t i = 0; i < snapshot.size(); ++i) {

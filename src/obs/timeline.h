@@ -63,11 +63,13 @@ struct TimelineSample {
   std::uint32_t open_worker_lanes = 0;  // live worker-lane spans
 };
 
-// Least-squares slope of rss_kb over day for the day-boundary samples
-// (fallback samples are excluded); 0 with fewer than two day samples.
+// Least-squares slope of rss_kb over day for the day-boundary samples from
+// `first_day` on (fallback samples are excluded); 0 with fewer than two
+// such samples. A fit from a run's first KPI day on leaves the warm-up's
+// growth and the home detector's release out of the slope.
 // Free function so tests can fit synthetic series directly.
 [[nodiscard]] double rss_slope_kb_per_day(
-    std::span<const TimelineSample> samples);
+    std::span<const TimelineSample> samples, std::int64_t first_day = 0);
 
 // Steady-state RSS estimate: median rss_kb over the second half of the
 // day-boundary samples (the run's plateau, past setup growth); 0 when no
@@ -103,8 +105,10 @@ class Timeline {
   // analysis_bytes,rows_per_sec,users_per_sec,checkpoint_ms,flush_ms,
   // open_worker_lanes — one row per sample, append order.
   void write_csv(std::ostream& os) const;
-  // {"schema": "cellscope-timeline/1", "samples": [...]}.
-  void write_json(std::ostream& os) const;
+  // {"schema": "cellscope-timeline/1", "rss_slope_kb_per_day",
+  // "rss_slope_kpi_kb_per_day" (the fit from `kpi_first_day` on),
+  // "steady_rss_kb", "samples": [...]}.
+  void write_json(std::ostream& os, std::int64_t kpi_first_day) const;
 
   // Drops every sample and restarts the epoch. Serial-phase only.
   void reset();

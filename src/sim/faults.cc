@@ -1,6 +1,7 @@
 #include "sim/faults.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
@@ -220,10 +221,14 @@ bool FaultPlan::kpi_feed_down(SimDay day, int hour) const {
 }
 
 int FaultPlan::signaling_down_hours(SimDay day) const {
-  int hours = 0;
+  return std::popcount(signaling_down_mask(day));
+}
+
+std::uint32_t FaultPlan::signaling_down_mask(SimDay day) const {
+  std::uint32_t mask = 0;
   for (int h = 0; h < kHoursPerDay; ++h)
-    if (signaling_down(day, h)) ++hours;
-  return hours;
+    if (signaling_down(day, h)) mask |= 1u << h;
+  return mask;
 }
 
 int FaultPlan::kpi_down_hours(SimDay day) const {

@@ -95,6 +95,8 @@ class FaultPlan {
   [[nodiscard]] bool signaling_down(SimDay day, int hour) const;
   [[nodiscard]] bool kpi_feed_down(SimDay day, int hour) const;
   [[nodiscard]] int signaling_down_hours(SimDay day) const;
+  // Bit h set: signaling_down(day, h).
+  [[nodiscard]] std::uint32_t signaling_down_mask(SimDay day) const;
   [[nodiscard]] int kpi_down_hours(SimDay day) const;
   [[nodiscard]] bool cell_out(CellId cell, SimDay day) const;
 

@@ -76,38 +76,6 @@ PlaceCells resolve_place(const radio::RadioTopology& topology,
 }
 static_assert(sizeof(PlaceCells) == 48);
 
-// Forwards signaling events to a chunk's probe except while the probe is
-// in a fault-plan outage window, counting both sides for the quality
-// report. One instance per chunk task, created on the worker's stack: a
-// supervised retry starts from a fresh sink, so a failed attempt leaves no
-// counts behind.
-class FilteredSignalingSink final : public traffic::SignalingSink {
- public:
-  FilteredSignalingSink(const FaultPlan& plan, traffic::SignalingSink& inner)
-      : plan_(plan), inner_(inner) {}
-
-  void on_event(const traffic::SignalingEvent& event) override {
-    const auto day = static_cast<SimDay>(event.hour / kHoursPerDay);
-    const auto hour = static_cast<int>(event.hour % kHoursPerDay);
-    if (plan_.signaling_down(day, hour)) {
-      ++dropped_;
-      return;
-    }
-    ++forwarded_;
-    inner_.on_event(event);
-  }
-
-  [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  void reset_counters() { forwarded_ = 0; dropped_ = 0; }
-
- private:
-  const FaultPlan& plan_;
-  traffic::SignalingSink& inner_;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t dropped_ = 0;
-};
-
 }  // namespace
 
 Simulator::Simulator(ScenarioConfig config) : config_(std::move(config)) {}
@@ -316,12 +284,9 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     // Per-day observation-feed accounting (faulted runs only).
     std::uint64_t obs_expected = 0;
     std::uint64_t obs_observed = 0;
-    // Per-chunk signaling: events pass the outage filter into this probe;
-    // reduce merges it into the Dataset (integer sums, so the chunk-order
-    // merge is exact) and folds the filter counters into the day totals.
-    telemetry::SignalingProbe probe;
-    std::uint64_t sig_forwarded = 0;
-    std::uint64_t sig_dropped = 0;
+    // The chunk's signaling, counted past the day's outage mask; reduce
+    // adds it to the Dataset's probe and the day's feed totals.
+    telemetry::SignalingDayCounter signaling;
     // Pre-work snapshot of the chunk's mutable per-user inputs, taken at
     // the top of work(): user states plus each user's (place count,
     // refuge index). The supervisor's reset restores them so a retried
@@ -337,6 +302,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
   struct WorkerCtx {
     // Private metric deltas, folded into the registry at day end.
     obs::MetricsShard metrics;
+    mobility::DayPlan plan;                     // scratch
     telemetry::UserDayObservation observation;  // scratch
     std::vector<traffic::CellStay> cell_stays;  // scratch
   };
@@ -451,13 +417,16 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
     std::uint64_t sig_forwarded_today = 0;
     std::uint64_t sig_dropped_today = 0;
     // Hour filtering only matters on days with an actual outage window.
-    const bool sig_out_today =
-        faults_on && fault_plan.signaling_down_hours(day) > 0;
+    const std::uint32_t sig_outage_mask =
+        faults_on ? fault_plan.signaling_down_mask(day) : 0;
+    const bool sig_out_today = sig_outage_mask != 0;
+    const traffic::VoiceDayRates voice_rates = voice_model.day_rates(day);
+    const traffic::DemandDayRates demand_rates = demand_model.day_rates(day);
 
     // --- Per-user simulation (runs inside a pool worker; writes only to
     // its chunk buffer, its WorkerCtx and the user's own state/places). ---
-    const auto process_user = [&](std::size_t i, ChunkBuf& b, WorkerCtx& ctx,
-                                  traffic::SignalingSink& sink) {
+    const auto process_user = [&](std::size_t i, ChunkBuf& b, WorkerCtx& ctx) {
+      mobility::DayPlan& plan = ctx.plan;
       telemetry::UserDayObservation& observation = ctx.observation;
       std::vector<traffic::CellStay>& cell_stays = ctx.cell_stays;
       const population::Subscriber& user = subscribers[i];
@@ -467,12 +436,12 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
 
       relocation.maybe_decide(user, user_places[i], state, day, rng);
 
-      mobility::DayPlan plan;
       if (!user.smartphone) {
         // M2M devices are static: pinned to the home place around the clock.
+        plan.stays.clear();
         if (!state.departed) plan.stays.push_back({0, 0, kHoursPerDay});
       } else {
-        plan = trajectories.plan_day(user, user_places[i], state, day, rng);
+        trajectories.plan_day(user, user_places[i], state, day, rng, plan);
       }
       if (plan.empty()) return;
       if (!user.native) b.roamers += 1.0;
@@ -516,7 +485,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
           // stay's dwell shrinks to its visible hours (the subscriber still
           // moved; the record just doesn't show it).
           for (int h = stay.start_hour; h < stay.end_hour; ++h) {
-            if (fault_plan.signaling_down(day, h)) continue;
+            if ((sig_outage_mask >> h) & 1u) continue;
             tower->hours += 1.0f;
             tower->bin_hours[static_cast<std::size_t>(four_hour_bin(h))] +=
                 1.0f;
@@ -580,8 +549,9 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       cell_stays.clear();
       for (const auto& stay : plan.stays) {
         const PlaceCells& pc = cells_of(i, stay.place);
-        const auto context = traffic::wifi_context(
-            user_places[i].places[stay.place].kind);
+        const mobility::PlaceKind kind = user_places[i].places[stay.place].kind;
+        const auto context = traffic::wifi_context(kind);
+        const double activity = demand_model.activity_factor(kind, day);
         cell_stays.push_back({pc.lte_cell, stay.start_hour, stay.end_hour});
 
         for (int h = stay.start_hour; h < stay.end_hour; ++h) {
@@ -594,7 +564,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
             b.legacy_hours += 1.0;
           }
 
-          const auto voice = voice_model.sample_hour(user, day, h, rng);
+          const auto voice = voice_model.sample_hour(user, voice_rates, h, rng);
           if (voice.minutes > 0.0) {
             ++voice_calls;
             ++b.load.voice_attempts[static_cast<std::size_t>(h)];
@@ -625,9 +595,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
           auto& load = b.load.at(serving, h);
           load.connected_users += 1.0;
           const auto demand = demand_model.sample_hour(
-              user, context, day, h, rng,
-              demand_model.activity_factor(
-                  user_places[i].places[stay.place].kind, day));
+              user, context, demand_rates, h, rng, activity);
           load.offered_dl_mb += demand.dl_mb;
           load.offered_ul_mb += demand.ul_mb;
           load.active_dl_user_seconds += demand.active_dl_seconds;
@@ -646,7 +614,7 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       }
       if (config_.collect_signaling && !cell_stays.empty()) {
         signaling_gen.generate_day(user, cell_stays, day, active_data_hours,
-                                   voice_calls, rng, sink);
+                                   voice_calls, rng, b.signaling);
       }
     };
 
@@ -672,10 +640,9 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
         b.places_snapshot.emplace_back(
             static_cast<std::uint8_t>(user_places[i].size()),
             user_places[i].refuge_index);
-      FilteredSignalingSink sink{fault_plan, b.probe};
-      for (std::size_t i = begin; i < end; ++i) process_user(i, b, ctx, sink);
-      b.sig_forwarded = sink.forwarded();
-      b.sig_dropped = sink.dropped();
+      // Fresh per attempt, so a retried chunk leaves no counts behind.
+      b.signaling = {.outage_mask = sig_outage_mask};
+      for (std::size_t i = begin; i < end; ++i) process_user(i, b, ctx);
     };
 
     // Rewinds a chunk to its pre-work snapshot after a failed attempt:
@@ -707,9 +674,6 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       b.matrix_obs.clear();
       b.obs_expected = 0;
       b.obs_observed = 0;
-      b.probe = telemetry::SignalingProbe{};
-      b.sig_forwarded = 0;
-      b.sig_dropped = 0;
     };
 
     // Reduce runs on this thread in ascending chunk order — the only
@@ -722,17 +686,14 @@ Dataset Simulator::run(DatasetSink* sink, CheckpointSink* checkpoint) {
       run_state.legacy_hours += b.legacy_hours;
       obs_expected_today += b.obs_expected;
       obs_observed_today += b.obs_observed;
-      sig_forwarded_today += b.sig_forwarded;
-      sig_dropped_today += b.sig_dropped;
+      sig_forwarded_today += b.signaling.forwarded;
+      sig_dropped_today += b.signaling.dropped;
       b.roamers = 0.0;
       b.lte_hours = 0.0;
       b.legacy_hours = 0.0;
       b.obs_expected = 0;
       b.obs_observed = 0;
-      b.sig_forwarded = 0;
-      b.sig_dropped = 0;
-      ds.signaling.merge(b.probe);
-      b.probe = telemetry::SignalingProbe{};
+      ds.signaling.add(day, b.signaling);
       b.state_snapshot.clear();
       b.places_snapshot.clear();
       for (const auto& obs : b.detector_obs)

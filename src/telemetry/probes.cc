@@ -1,5 +1,7 @@
 #include "telemetry/probes.h"
 
+#include <stdexcept>
+
 namespace cellscope::telemetry {
 
 std::uint64_t DailySignalingCounts::total_events() const {
@@ -28,29 +30,20 @@ void SignalingProbe::on_event(const traffic::SignalingEvent& event) {
   ++events_ingested_;
 }
 
-void SignalingProbe::merge(const SignalingProbe& other) {
-  // Merge two day-sorted count lists.
-  std::vector<DailySignalingCounts> merged;
-  merged.reserve(days_.size() + other.days_.size());
-  std::size_t a = 0, b = 0;
-  while (a < days_.size() || b < other.days_.size()) {
-    if (b >= other.days_.size() ||
-        (a < days_.size() && days_[a].day < other.days_[b].day)) {
-      merged.push_back(days_[a++]);
-    } else if (a >= days_.size() || other.days_[b].day < days_[a].day) {
-      merged.push_back(other.days_[b++]);
-    } else {
-      DailySignalingCounts combined = days_[a++];
-      const DailySignalingCounts& extra = other.days_[b++];
-      for (int t = 0; t < traffic::kSignalingEventTypeCount; ++t) {
-        combined.total[t] += extra.total[t];
-        combined.failures[t] += extra.failures[t];
-      }
-      merged.push_back(combined);
-    }
+void SignalingProbe::add(SimDay day, const SignalingDayCounter& counter) {
+  if (!days_.empty() && day < days_.back().day)
+    throw std::logic_error("SignalingProbe::add: day before the last day");
+  if (counter.forwarded == 0) return;
+  if (days_.empty() || days_.back().day != day) {
+    days_.emplace_back();
+    days_.back().day = day;
   }
-  days_ = std::move(merged);
-  events_ingested_ += other.events_ingested_;
+  auto& counts = days_.back();
+  for (int t = 0; t < traffic::kSignalingEventTypeCount; ++t) {
+    counts.total[t] += counter.total[t];
+    counts.failures[t] += counter.failures[t];
+  }
+  events_ingested_ += counter.forwarded;
 }
 
 void SignalingProbe::restore_day(const DailySignalingCounts& counts) {

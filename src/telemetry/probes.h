@@ -25,9 +25,34 @@ struct DailySignalingCounts {
   [[nodiscard]] double failure_rate(traffic::SignalingEventType type) const;
 };
 
-class SignalingProbe final : public traffic::SignalingSink {
+// One day's events from one slice of the population (a simulator chunk),
+// counted as the probe would see them: events in an hour the outage mask
+// marks down are dropped, the rest are forwarded and counted per type and
+// result. Integer sums only, so slices add up in any order. A sink for
+// traffic::SignalingGenerator::generate_day.
+struct SignalingDayCounter {
+  std::array<std::uint64_t, traffic::kSignalingEventTypeCount> total{};
+  std::array<std::uint64_t, traffic::kSignalingEventTypeCount> failures{};
+  std::uint64_t forwarded = 0;
+  std::uint64_t dropped = 0;
+  // Bit h set: the probe is down in hour h of the day.
+  std::uint32_t outage_mask = 0;
+
+  void on_event(const traffic::SignalingEvent& event) {
+    if ((outage_mask >> hour_of_day(event.hour)) & 1u) {
+      ++dropped;
+      return;
+    }
+    ++forwarded;
+    const auto i = static_cast<std::size_t>(event.type);
+    ++total[i];
+    if (!event.success) ++failures[i];
+  }
+};
+
+class SignalingProbe {
  public:
-  void on_event(const traffic::SignalingEvent& event) override;
+  void on_event(const traffic::SignalingEvent& event);
 
   // Days appear in insertion (chronological) order.
   [[nodiscard]] const std::vector<DailySignalingCounts>& days() const {
@@ -35,18 +60,19 @@ class SignalingProbe final : public traffic::SignalingSink {
   }
   [[nodiscard]] const DailySignalingCounts* day(SimDay day) const;
 
-  // Adds another probe's counters into this one (used to combine the
-  // per-worker probes of a parallel simulation). Both probes must hold
-  // chronologically ordered days.
-  void merge(const SignalingProbe& other);
+  // Adds one slice's forwarded counts for `day`, which must be the probe's
+  // last day or a later one (std::logic_error otherwise). A slice that
+  // forwarded nothing adds no day, as if its events had arrived one by one
+  // through on_event.
+  void add(SimDay day, const SignalingDayCounter& counter);
 
   // Serialization access (store/dataset_io): appends one saved day's
   // counters verbatim. Days must arrive in chronological order.
   void restore_day(const DailySignalingCounts& counts);
 
-  // Observability: lifetime event count across every day this probe (and
-  // any probes merged into it) ingested. The simulator publishes this into
-  // the metrics registry after the per-worker merge.
+  // Observability: lifetime event count across every day this probe
+  // ingested. The simulator publishes this into the metrics registry at the
+  // end of a run.
   [[nodiscard]] std::uint64_t events_ingested() const {
     return events_ingested_;
   }

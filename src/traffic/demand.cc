@@ -48,8 +48,33 @@ double DemandModel::activity_factor(mobility::PlaceKind kind,
   }
 }
 
+DemandDayRates DemandModel::day_rates(SimDay day) const {
+  const bool restricted = !policy_.venues_open(day);
+  const auto mix = app_mix(restricted);
+  const double boost = restricted ? params_.restricted_usage_boost : 1.0;
+  DemandDayRates rates;
+  for (int h = 0; h < kHoursPerDay; ++h)
+    rates.base_dl_mb[static_cast<std::size_t>(h)] =
+        params_.away_dl_mb_per_hour * diurnal_weight(h, is_weekend(day)) *
+        boost;
+  rates.data_multiplier = policy_.data_demand_multiplier(day);
+  rates.ul_ratio = mix_ul_ratio(mix);
+  rates.app_dl_rate_mbps =
+      mix_app_rate_mbps(mix, policy_.content_throttling(day));
+  return rates;
+}
+
 HourDemand DemandModel::sample_hour(const population::Subscriber& user,
                                     WifiContext context, SimDay day,
+                                    int hour_of_day, Rng& rng,
+                                    double activity_factor) const {
+  return sample_hour(user, context, day_rates(day), hour_of_day, rng,
+                     activity_factor);
+}
+
+HourDemand DemandModel::sample_hour(const population::Subscriber& user,
+                                    WifiContext context,
+                                    const DemandDayRates& rates,
                                     int hour_of_day, Rng& rng,
                                     double activity_factor) const {
   HourDemand demand;
@@ -63,10 +88,6 @@ HourDemand DemandModel::sample_hour(const population::Subscriber& user,
     demand.app_dl_rate_mbps = 0.10;
     return demand;
   }
-
-  const bool restricted = !policy_.venues_open(day);
-  const bool throttled = policy_.content_throttling(day);
-  const auto mix = app_mix(restricted);
 
   double dl_residue = 1.0;
   double ul_residue = 1.0;
@@ -85,19 +106,19 @@ HourDemand DemandModel::sample_hour(const population::Subscriber& user,
       break;
   }
 
-  const double diurnal = diurnal_weight(hour_of_day, is_weekend(day));
-  const double boost = restricted ? params_.restricted_usage_boost : 1.0;
   // Lognormal multiplicative noise with mean 1.
   const double noise = rng.lognormal(
       -0.5 * params_.noise_sigma * params_.noise_sigma, params_.noise_sigma);
 
-  const double gross_dl = params_.away_dl_mb_per_hour * diurnal * boost *
-                          noise * activity_factor *
-                          policy_.data_demand_multiplier(day);
+  // away x diurnal x boost (the day's base) x noise x activity x data
+  // multiplier, multiplied left to right as when each hour computed all six.
+  const double gross_dl =
+      rates.base_dl_mb[static_cast<std::size_t>(hour_of_day)] * noise *
+      activity_factor * rates.data_multiplier;
   demand.dl_mb = gross_dl * dl_residue;
-  demand.ul_mb = gross_dl * mix_ul_ratio(mix) * ul_residue;
+  demand.ul_mb = gross_dl * rates.ul_ratio * ul_residue;
 
-  demand.app_dl_rate_mbps = mix_app_rate_mbps(mix, throttled);
+  demand.app_dl_rate_mbps = rates.app_dl_rate_mbps;
   if (demand.app_dl_rate_mbps > 0.0) {
     demand.active_dl_seconds =
         std::min(3600.0, demand.dl_mb * 8.0 / demand.app_dl_rate_mbps);

@@ -10,6 +10,8 @@
 // paper cites.
 #pragma once
 
+#include <array>
+
 #include "common/rng.h"
 #include "common/simtime.h"
 #include "mobility/place.h"
@@ -59,6 +61,15 @@ struct HourDemand {
   double app_dl_rate_mbps = 0.0;
 };
 
+// What sample_hour derives from the day alone, computed once for the day.
+struct DemandDayRates {
+  // away_dl_mb_per_hour x diurnal weight x restriction boost, per hour.
+  std::array<double, kHoursPerDay> base_dl_mb{};
+  double data_multiplier = 1.0;  // policy data_demand_multiplier(day)
+  double ul_ratio = 0.0;         // mix_ul_ratio of the day's app mix
+  double app_dl_rate_mbps = 0.0; // mix_app_rate_mbps of the day's app mix
+};
+
 class DemandModel {
  public:
   DemandModel(const mobility::PolicyTimeline& policy,
@@ -70,6 +81,13 @@ class DemandModel {
                                        WifiContext context, SimDay day,
                                        int hour_of_day, Rng& rng,
                                        double activity_factor = 1.0) const;
+  // The same sample with the day's constants read from `day_rates(day)`.
+  [[nodiscard]] HourDemand sample_hour(const population::Subscriber& user,
+                                       WifiContext context,
+                                       const DemandDayRates& rates,
+                                       int hour_of_day, Rng& rng,
+                                       double activity_factor) const;
+  [[nodiscard]] DemandDayRates day_rates(SimDay day) const;
 
   // Mobile-reliance multiplier on the home residues for a home OAC cluster
   // (deprived / young-renter areas have markedly lower fixed-broadband

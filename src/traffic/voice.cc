@@ -1,5 +1,6 @@
 #include "traffic/voice.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -22,15 +23,11 @@ double VoiceModel::diurnal_weight(int hour_of_day) {
   return kVoiceDiurnal[hour_of_day];
 }
 
-HourVoice VoiceModel::sample_hour(const population::Subscriber& user,
-                                  SimDay day, int hour_of_day,
-                                  Rng& rng) const {
-  HourVoice voice;
-  if (!user.smartphone) return voice;  // M2M SIMs carry no conversations
-
+double VoiceModel::call_mean(population::Archetype archetype, SimDay day,
+                             int hour_of_day) const {
   // Archetype appetite: retirees call more, students less.
   double appetite = 1.0;
-  switch (user.archetype) {
+  switch (archetype) {
     case population::Archetype::kRetiree: appetite = 1.5; break;
     case population::Archetype::kStudent: appetite = 0.6; break;
     case population::Archetype::kSeasonalResident: appetite = 0.8; break;
@@ -41,7 +38,11 @@ HourVoice VoiceModel::sample_hour(const population::Subscriber& user,
                               diurnal_weight(hour_of_day) *
                               policy_.voice_demand_multiplier(day);
   // Call minutes arrive in bursts: Poisson call count x exponential holding.
-  const auto calls = rng.poisson(mean_minutes / 3.0);
+  return mean_minutes / 3.0;
+}
+
+HourVoice VoiceModel::voice_of_calls(std::uint64_t calls, Rng& rng) const {
+  HourVoice voice;
   for (std::uint64_t c = 0; c < calls; ++c)
     voice.minutes += rng.exponential(3.0);
   if (voice.minutes <= 0.0) return voice;
@@ -52,6 +53,38 @@ HourVoice VoiceModel::sample_hour(const population::Subscriber& user,
   voice.in_call_seconds = voice.minutes * 60.0;
   voice.offnet_fraction = params_.offnet_fraction;
   return voice;
+}
+
+HourVoice VoiceModel::sample_hour(const population::Subscriber& user,
+                                  SimDay day, int hour_of_day,
+                                  Rng& rng) const {
+  if (!user.smartphone) return {};  // M2M SIMs carry no conversations
+  return voice_of_calls(
+      rng.poisson(call_mean(user.archetype, day, hour_of_day)), rng);
+}
+
+HourVoice VoiceModel::sample_hour(const population::Subscriber& user,
+                                  const VoiceDayRates& rates, int hour_of_day,
+                                  Rng& rng) const {
+  if (!user.smartphone) return {};
+  const auto& rate = rates.by_archetype[static_cast<std::size_t>(
+      user.archetype)][static_cast<std::size_t>(hour_of_day)];
+  return voice_of_calls(rng.poisson(rate.call_mean, rate.knuth_threshold),
+                        rng);
+}
+
+VoiceDayRates VoiceModel::day_rates(SimDay day) const {
+  VoiceDayRates rates;
+  for (int a = 0; a < population::kArchetypeCount; ++a) {
+    for (int h = 0; h < kHoursPerDay; ++h) {
+      auto& rate = rates.by_archetype[static_cast<std::size_t>(a)]
+                                     [static_cast<std::size_t>(h)];
+      rate.call_mean =
+          call_mean(static_cast<population::Archetype>(a), day, h);
+      rate.knuth_threshold = std::exp(-rate.call_mean);
+    }
+  }
+  return rates;
 }
 
 void VoiceCallLedger::record_day(const VoiceDayCalls& day) {

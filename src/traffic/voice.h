@@ -9,6 +9,7 @@
 // UL/DL. A fraction of minutes is off-net and traverses the interconnect.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +37,18 @@ struct HourVoice {
   double offnet_fraction = 0.0;
 };
 
+// One day's Poisson call rates, per archetype and hour: the call mean
+// sample_hour would compute and its Knuth threshold std::exp(-mean), both
+// computed once for the day.
+struct VoiceDayRates {
+  struct Rate {
+    double call_mean = 0.0;
+    double knuth_threshold = 1.0;
+  };
+  std::array<std::array<Rate, kHoursPerDay>, population::kArchetypeCount>
+      by_archetype{};
+};
+
 class VoiceModel {
  public:
   VoiceModel(const mobility::PolicyTimeline& policy,
@@ -44,6 +57,12 @@ class VoiceModel {
   [[nodiscard]] HourVoice sample_hour(const population::Subscriber& user,
                                       SimDay day, int hour_of_day,
                                       Rng& rng) const;
+  // The same draws and values as sample_hour(user, day, hour_of_day, rng),
+  // with the hour's rate read from `day_rates(day)`.
+  [[nodiscard]] HourVoice sample_hour(const population::Subscriber& user,
+                                      const VoiceDayRates& rates,
+                                      int hour_of_day, Rng& rng) const;
+  [[nodiscard]] VoiceDayRates day_rates(SimDay day) const;
 
   // Hourly voice activity weight (normalized to mean 1 over 24h).
   [[nodiscard]] static double diurnal_weight(int hour_of_day);
@@ -51,6 +70,11 @@ class VoiceModel {
   [[nodiscard]] const VoiceParams& params() const { return params_; }
 
  private:
+  [[nodiscard]] double call_mean(population::Archetype archetype, SimDay day,
+                                 int hour_of_day) const;
+  // Call minutes for `calls` arrivals: exponential holding times.
+  [[nodiscard]] HourVoice voice_of_calls(std::uint64_t calls, Rng& rng) const;
+
   const mobility::PolicyTimeline& policy_;
   VoiceParams params_;
 };

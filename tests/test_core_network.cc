@@ -1,19 +1,18 @@
 // Signaling generation: the control-plane event stream of Section 2.2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
+#include "telemetry/probes.h"
 #include "traffic/core_network.h"
 
 namespace cellscope::traffic {
 namespace {
 
-class RecordingSink final : public SignalingSink {
- public:
-  void on_event(const SignalingEvent& event) override {
-    events.push_back(event);
-  }
+struct RecordingSink {
+  void on_event(const SignalingEvent& event) { events.push_back(event); }
   [[nodiscard]] int count(SignalingEventType type) const {
     int n = 0;
     for (const auto& e : events) n += e.type == type;
@@ -158,6 +157,74 @@ TEST(Signaling, DetachProbability) {
     generator.generate_day(native_user(), simple_day(), 10, 0, 0, rng, sink);
   EXPECT_NEAR(double(sink.count(SignalingEventType::kDetach)) / 3000, 0.10,
               0.02);
+}
+
+// The simulator counts each chunk's events in a SignalingDayCounter; a
+// recording sink sees the events themselves. Driven by the same generator
+// from the same stream, the counter must hold exactly what the recorded
+// events, filtered through the outage mask, add up to, and both runs must
+// consume the same draws.
+TEST(SignalingProperty, CounterAgreesWithRecordedEvents) {
+  SignalingGenerator generator;
+  Rng inputs{2025};
+  for (int trial = 0; trial < 3000; ++trial) {
+    population::Subscriber user = native_user();
+    user.id = UserId{static_cast<std::uint32_t>(trial)};
+    user.native = inputs.chance(0.7);
+
+    // 1-24 contiguous stays over a small cell pool, so repeated and
+    // back-to-back cells both occur.
+    const auto n_stays = 1 + static_cast<int>(inputs.uniform_index(24));
+    std::vector<int> cuts;
+    for (int h = 1; h < kHoursPerDay; ++h) cuts.push_back(h);
+    inputs.shuffle(cuts);
+    cuts.resize(static_cast<std::size_t>(n_stays - 1));
+    std::sort(cuts.begin(), cuts.end());
+    cuts.push_back(kHoursPerDay);
+    std::vector<CellStay> stays;
+    int start = 0;
+    for (const int end : cuts) {
+      const CellId cell{static_cast<std::uint32_t>(inputs.uniform_index(4))};
+      stays.push_back({cell, static_cast<std::uint8_t>(start),
+                       static_cast<std::uint8_t>(end)});
+      start = end;
+    }
+    const auto active_hours = static_cast<int>(inputs.uniform_index(25));
+    const auto calls = static_cast<int>(inputs.uniform_index(13));
+    const auto day = static_cast<SimDay>(inputs.uniform_index(98));
+
+    telemetry::SignalingDayCounter counter;
+    if (inputs.chance(0.75))
+      counter.outage_mask =
+          static_cast<std::uint32_t>(inputs.next() & 0xffffffu);
+
+    const std::uint64_t seed = inputs.next();
+    Rng recorded_rng{seed};
+    Rng counted_rng{seed};
+    RecordingSink recorder;
+    generator.generate_day(user, stays, day, active_hours, calls,
+                           recorded_rng, recorder);
+    generator.generate_day(user, stays, day, active_hours, calls,
+                           counted_rng, counter);
+
+    telemetry::SignalingDayCounter expected;
+    for (const auto& event : recorder.events) {
+      ASSERT_EQ(day_of(event.hour), day);
+      if ((counter.outage_mask >> hour_of_day(event.hour)) & 1u) {
+        ++expected.dropped;
+        continue;
+      }
+      ++expected.forwarded;
+      ++expected.total[static_cast<std::size_t>(event.type)];
+      if (!event.success)
+        ++expected.failures[static_cast<std::size_t>(event.type)];
+    }
+    ASSERT_EQ(counter.total, expected.total) << "trial " << trial;
+    ASSERT_EQ(counter.failures, expected.failures) << "trial " << trial;
+    ASSERT_EQ(counter.forwarded, expected.forwarded) << "trial " << trial;
+    ASSERT_EQ(counter.dropped, expected.dropped) << "trial " << trial;
+    ASSERT_EQ(recorded_rng.next(), counted_rng.next()) << "trial " << trial;
+  }
 }
 
 TEST(Signaling, EventNamesAreDistinct) {

@@ -1,6 +1,10 @@
 // Per-user data demand: WiFi offload contexts, activity factors, throttling.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
+#include "sim/scenario.h"
 #include "traffic/demand.h"
 
 namespace cellscope::traffic {
@@ -182,6 +186,105 @@ TEST(Demand, NewsBumpInWeekTen) {
   const double wk10 = mean_dl(model, user, WifiContext::kNoWifi,
                               week_start_day(10) + 1, 19);
   EXPECT_GT(wk10, wk9 * 1.02);
+}
+
+// sample_hour as it computed every day constant on each call: the
+// reference the day table must reproduce.
+HourDemand per_hour_reference(const mobility::PolicyTimeline& policy,
+                              const DemandParams& params,
+                              const population::Subscriber& user,
+                              WifiContext context, SimDay day,
+                              int hour_of_day, Rng& rng,
+                              double activity_factor) {
+  HourDemand demand;
+  if (!user.smartphone) {
+    demand.dl_mb = 0.02;
+    demand.ul_mb = 0.08;
+    demand.active_dl_seconds = 2.0;
+    demand.app_dl_rate_mbps = 0.10;
+    return demand;
+  }
+  const bool restricted = !policy.venues_open(day);
+  const bool throttled = policy.content_throttling(day);
+  const auto mix = app_mix(restricted);
+  double dl_residue = 1.0;
+  double ul_residue = 1.0;
+  if (context == WifiContext::kHomeWifi) {
+    const double reliance =
+        DemandModel::home_residue_multiplier(user.home_cluster);
+    dl_residue = params.home_dl_residue * reliance;
+    ul_residue = params.home_ul_residue * reliance;
+  } else if (context == WifiContext::kWorkWifi) {
+    dl_residue = params.work_dl_residue;
+    ul_residue = params.work_ul_residue;
+  }
+  const double diurnal = diurnal_weight(hour_of_day, is_weekend(day));
+  const double boost = restricted ? params.restricted_usage_boost : 1.0;
+  const double noise = rng.lognormal(
+      -0.5 * params.noise_sigma * params.noise_sigma, params.noise_sigma);
+  const double gross_dl = params.away_dl_mb_per_hour * diurnal * boost *
+                          noise * activity_factor *
+                          policy.data_demand_multiplier(day);
+  demand.dl_mb = gross_dl * dl_residue;
+  demand.ul_mb = gross_dl * mix_ul_ratio(mix) * ul_residue;
+  demand.app_dl_rate_mbps = mix_app_rate_mbps(mix, throttled);
+  if (demand.app_dl_rate_mbps > 0.0) {
+    demand.active_dl_seconds =
+        std::min(3600.0, demand.dl_mb * 8.0 / demand.app_dl_rate_mbps);
+  }
+  return demand;
+}
+
+TEST(DemandProperty, DayTableMatchesThePerHourFormulaBitForBit) {
+  const auto bits = [](const HourDemand& d) {
+    return std::vector<std::uint64_t>{
+        std::bit_cast<std::uint64_t>(d.dl_mb),
+        std::bit_cast<std::uint64_t>(d.ul_mb),
+        std::bit_cast<std::uint64_t>(d.active_dl_seconds),
+        std::bit_cast<std::uint64_t>(d.app_dl_rate_mbps)};
+  };
+  mobility::PolicyParams no_lockdown;
+  no_lockdown.lockdown_enabled = false;
+  mobility::PolicyParams early_closure;
+  early_closure.closure_day = 30;
+  const std::vector<mobility::PolicyParams> policies = {{}, no_lockdown,
+                                                        early_closure};
+  const std::vector<WifiContext> contexts = {
+      WifiContext::kHomeWifi, WifiContext::kWorkWifi, WifiContext::kNoWifi};
+  const std::vector<mobility::PlaceKind> kinds = {
+      mobility::PlaceKind::kHome, mobility::PlaceKind::kErrand,
+      mobility::PlaceKind::kLeisure, mobility::PlaceKind::kGetaway};
+
+  const sim::ScenarioConfig window = sim::default_scenario();
+  Rng seeds{2027};
+  for (const auto& policy_params : policies) {
+    const mobility::PolicyTimeline policy{policy_params};
+    const DemandModel model{policy};
+    for (SimDay day = window.first_day(); day <= window.last_day(); ++day) {
+      const DemandDayRates rates = model.day_rates(day);
+      for (int c = 0; c < geo::kOacClusterCount; ++c) {
+        auto user = smartphone_user(static_cast<geo::OacCluster>(c));
+        user.smartphone = c != 0 || day % 2 == 0;  // M2M on some days
+        for (int h = 0; h < kHoursPerDay; ++h) {
+          const auto context = contexts[static_cast<std::size_t>(h % 3)];
+          const double activity = model.activity_factor(
+              kinds[static_cast<std::size_t>(h % 4)], day);
+          const std::uint64_t seed = seeds.next();
+          Rng reference_rng{seed};
+          Rng table_rng{seed};
+          const HourDemand expected =
+              per_hour_reference(policy, model.params(), user, context, day,
+                                 h, reference_rng, activity);
+          const HourDemand got =
+              model.sample_hour(user, context, rates, h, table_rng, activity);
+          ASSERT_EQ(bits(got), bits(expected))
+              << "day " << day << " cluster " << c << " hour " << h;
+          ASSERT_EQ(table_rng.next(), reference_rng.next())
+              << "day " << day << " cluster " << c << " hour " << h;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -156,6 +156,12 @@ TEST(FaultPlan_, WindowsMatchTheHourBitmap) {
           << h;
     }
   }
+  // The day mask is the hour bitmap, one bit per hour.
+  for (SimDay d = -1; d <= 98; ++d)
+    for (int h = 0; h < kHoursPerDay; ++h)
+      EXPECT_EQ((plan.signaling_down_mask(d) >> h) & 1u,
+                plan.signaling_down(d, h) ? 1u : 0u)
+          << d << " " << h;
   // Total down-hours across days equals the bitmap population.
   int down_hours = 0;
   for (SimDay d = 0; d <= 97; ++d) down_hours += plan.signaling_down_hours(d);

@@ -35,14 +35,6 @@ TEST(SignalingSeries, DailyTotalsPerType) {
   EXPECT_DOUBLE_EQ(attaches.value(22), 0.0);
 }
 
-TEST(SignalingSeries, TotalsAcrossTypes) {
-  telemetry::SignalingProbe probe;
-  emit(probe, 21, SignalingEventType::kHandover, 5);
-  emit(probe, 21, SignalingEventType::kAttach, 2);
-  const auto totals = signaling_total_series(probe);
-  EXPECT_DOUBLE_EQ(totals.value(21), 7.0);
-}
-
 TEST(SignalingSeries, FailureRateInPercent) {
   telemetry::SignalingProbe probe;
   emit(probe, 21, SignalingEventType::kAttach, 10, /*failures=*/2);

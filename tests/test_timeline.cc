@@ -72,6 +72,24 @@ TEST_F(TimelineTest, SlopeIgnoresFallbackSamplesAndDegenerateSeries) {
   EXPECT_DOUBLE_EQ(rss_slope_kb_per_day(stacked), 0.0);
 }
 
+TEST_F(TimelineTest, KpiDaySlopeFitsOnlyDaysFromTheFirstKpiDay) {
+  // Warm-up growth to day 20, a release at day 21, then a flat KPI period
+  // growing 2 kB/day: the all-days fit mixes them, the KPI-day fit sees
+  // the KPI days only.
+  std::vector<TimelineSample> samples;
+  for (std::int64_t d = 0; d < 21; ++d)
+    samples.push_back(day_sample(d, 50'000 + 500 * static_cast<long>(d)));
+  samples.push_back(day_sample(-1, 1));  // fallback: still excluded
+  for (std::int64_t d = 21; d < 98; ++d)
+    samples.push_back(day_sample(d, 40'000 + 2 * static_cast<long>(d)));
+  EXPECT_DOUBLE_EQ(rss_slope_kb_per_day(samples, 21), 2.0);
+  EXPECT_NE(rss_slope_kb_per_day(samples), 2.0);
+  EXPECT_DOUBLE_EQ(rss_slope_kb_per_day(samples, 0),
+                   rss_slope_kb_per_day(samples));
+  // No KPI day sampled yet -> no fit.
+  EXPECT_DOUBLE_EQ(rss_slope_kb_per_day(samples, 200), 0.0);
+}
+
 TEST_F(TimelineTest, SteadyRssIsMedianOfSecondHalf) {
   // Warm-up ramp then plateau: the estimate must sit on the plateau, not
   // the mean of the whole series.
@@ -235,11 +253,13 @@ TEST_F(TimelineTest, CsvAndJsonExportShape) {
   EXPECT_EQ(rows, 4);
 
   std::ostringstream json;
-  timeline().write_json(json);
+  timeline().write_json(json, 1);
   const std::string json_text = json.str();
   EXPECT_NE(json_text.find("\"schema\": \"cellscope-timeline/1\""),
             std::string::npos);
   EXPECT_NE(json_text.find("\"rss_slope_kb_per_day\""), std::string::npos);
+  EXPECT_NE(json_text.find("\"rss_slope_kpi_kb_per_day\""),
+            std::string::npos);
   EXPECT_NE(json_text.find("\"steady_rss_kb\""), std::string::npos);
   EXPECT_NE(json_text.find("\"day\": -1"), std::string::npos);
   int braces = 0, brackets = 0;

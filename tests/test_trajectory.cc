@@ -284,7 +284,9 @@ TEST_F(TrajectoryTest, PreLockdownRushBoostsGetaways) {
 TEST(CompressSlots, SingleStay) {
   std::array<std::uint8_t, kHoursPerDay> slots;
   slots.fill(0);
-  const auto stays = compress_slots(slots);
+  // The output is replaced, not appended to.
+  std::vector<Stay> stays = {{3, 0, 24}, {4, 0, 24}};
+  compress_slots(slots, stays);
   ASSERT_EQ(stays.size(), 1u);
   EXPECT_EQ(stays[0].place, 0);
   EXPECT_EQ(stays[0].start_hour, 0);
@@ -296,7 +298,8 @@ TEST(CompressSlots, AlternatingPattern) {
   slots.fill(0);
   slots[9] = slots[10] = 1;
   slots[15] = 2;
-  const auto stays = compress_slots(slots);
+  std::vector<Stay> stays;
+  compress_slots(slots, stays);
   ASSERT_EQ(stays.size(), 5u);
   EXPECT_EQ(stays[1].place, 1);
   EXPECT_EQ(stays[1].start_hour, 9);

@@ -1,6 +1,10 @@
 // Conversational voice model.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
+#include "sim/scenario.h"
 #include "traffic/voice.h"
 
 namespace cellscope::traffic {
@@ -119,6 +123,60 @@ TEST(Voice, CallArrivalsAreBursty) {
   }
   EXPECT_GT(zero_hours, 2500);
   EXPECT_GT(long_hours, 10);
+}
+
+// The day table only moves sample_hour's rate computation out of the hour
+// loop: it must give the per-call path's values and draws bit for bit on
+// every archetype, hour and day of the default window, under the
+// counterfactual policies, and past Knuth's range (a normal draw).
+TEST(VoiceProperty, DayTableMatchesThePerCallPathBitForBit) {
+  const auto bits = [](const HourVoice& v) {
+    return std::vector<std::uint64_t>{
+        std::bit_cast<std::uint64_t>(v.minutes),
+        std::bit_cast<std::uint64_t>(v.dl_mb),
+        std::bit_cast<std::uint64_t>(v.ul_mb),
+        std::bit_cast<std::uint64_t>(v.in_call_seconds),
+        std::bit_cast<std::uint64_t>(v.offnet_fraction)};
+  };
+  mobility::PolicyParams no_lockdown;
+  no_lockdown.lockdown_enabled = false;
+  mobility::PolicyParams surge;
+  surge.voice_surge_scale = 2.5;
+  mobility::PolicyParams no_surge;
+  no_surge.voice_surge_scale = 0.0;
+  VoiceParams heavy;
+  heavy.daily_minutes = 6000.0;  // hourly call means past 64
+  const std::vector<std::pair<mobility::PolicyParams, VoiceParams>> cases = {
+      {{}, {}}, {no_lockdown, {}}, {surge, {}}, {no_surge, {}}, {{}, heavy}};
+
+  const sim::ScenarioConfig window = sim::default_scenario();
+  Rng seeds{2026};
+  std::uint64_t hours_with_calls = 0;
+  for (const auto& [policy_params, voice_params] : cases) {
+    const mobility::PolicyTimeline policy{policy_params};
+    const VoiceModel model{policy, voice_params};
+    for (SimDay day = window.first_day(); day <= window.last_day(); ++day) {
+      const VoiceDayRates rates = model.day_rates(day);
+      for (int a = 0; a < population::kArchetypeCount; ++a) {
+        auto user = adult();
+        user.archetype = static_cast<population::Archetype>(a);
+        user.smartphone = a != 0 || day % 2 == 0;  // M2M on some days
+        for (int h = 0; h < kHoursPerDay; ++h) {
+          const std::uint64_t seed = seeds.next();
+          Rng per_call{seed};
+          Rng table{seed};
+          const HourVoice expected = model.sample_hour(user, day, h, per_call);
+          const HourVoice got = model.sample_hour(user, rates, h, table);
+          ASSERT_EQ(bits(got), bits(expected))
+              << "day " << day << " archetype " << a << " hour " << h;
+          ASSERT_EQ(table.next(), per_call.next())
+              << "day " << day << " archetype " << a << " hour " << h;
+          hours_with_calls += expected.minutes > 0.0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(hours_with_calls, 10'000u);
 }
 
 }  // namespace

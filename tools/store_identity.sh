@@ -12,7 +12,9 @@
 # CELLSCOPE_BENCH_SEED passes through. Fails (exit 1) on any difference
 # between the stores, an audit violation or a non-zero bench exit, and
 # otherwise prints one line: the store's hashes, the second run's timeline
-# rss_slope_kb_per_day and the peak RSS at its last simulated day. Work
+# rss_slope_kb_per_day (all days) and rss_slope_kpi_kb_per_day (KPI days
+# only) and the peak RSS at its last simulated day. CELLSCOPE_BENCH_FAULTS
+# passes through too, so the same check runs on degraded feeds. Work
 # files go to a temporary directory, removed when the check passes and
 # kept, with their path printed, when it fails.
 set -euo pipefail
@@ -69,9 +71,11 @@ kpis_sha=$(find "$work/b" -name kpis.csf -exec sha256sum {} + | cut -c1-16)
 timeline_json=$(ls "$work"/obs/*.timeline.json)
 timeline_csv=$(ls "$work"/obs/*.timeline.csv)
 slope=$(jq -r '.rss_slope_kb_per_day' "$timeline_json")
+kpi_slope=$(jq -r '.rss_slope_kpi_kb_per_day' "$timeline_json")
 peak=$(awk -F, 'NR == 1 { for (i = 1; i <= NF; ++i) col[$i] = i; next }
                 $col["day"] >= 0 { peak = $col["peak_rss_kb"] }
                 END { print peak }' "$timeline_csv")
 echo "store_identity: $(basename "$bench") users=$users" \
      "threads=$threads_a,$threads_b identical store_sha256=$store_sha" \
-     "kpis_sha256=$kpis_sha rss_slope_kb_per_day=$slope peak_rss_kb=$peak"
+     "kpis_sha256=$kpis_sha rss_slope_kb_per_day=$slope" \
+     "rss_slope_kpi_kb_per_day=$kpi_slope peak_rss_kb=$peak"
